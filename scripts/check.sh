@@ -5,6 +5,7 @@
 # (docs/observability.md), the sharded coordination plane (docs/sharding.md),
 # the dynamic-membership suite (docs/reconfig.md),
 # the bytecode-VM conformance tier (docs/bytecode_vm.md),
+# the event-loop tier (ordering, eager cancel, differential test),
 # and the lint tier (docs/static_analysis.md):
 # edc-lint golden tests, edc-lint over the example scripts, and clang-tidy
 # when available. Any failure aborts.
@@ -77,7 +78,9 @@ run_lint_tier
 
 cd "$BUILD_DIR"
 echo "== tier-1 tests =="
-ctest --output-on-failure -j "$JOBS" -LE 'chaos|model|obs|lint|shard|pipeline|reconfig|vm'
+ctest --output-on-failure -j "$JOBS" -LE 'chaos|model|obs|lint|shard|pipeline|reconfig|vm|sim'
+echo "== event loop tests =="
+ctest --output-on-failure -j "$JOBS" --no-tests=error -L sim
 echo "== chaos tests =="
 ctest --output-on-failure -j "$JOBS" -L chaos
 echo "== model-conformance tests =="

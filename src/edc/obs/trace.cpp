@@ -41,25 +41,30 @@ TraceContext Tracer::BeginTrace(const char* name, uint32_t track, SimTime now) {
   return current_;
 }
 
-SpanId Tracer::BeginSpanIn(const TraceContext& ctx, const char* name, Stage stage,
-                           uint32_t track, SimTime now) {
+SpanRec* Tracer::AppendSpan(const TraceContext& ctx, const char* name, Stage stage,
+                            uint32_t track, SimTime start) {
   if (!enabled_ || !ctx.active()) {
-    return 0;
+    return nullptr;
   }
   auto it = live_.find(ctx.trace);
   if (it == live_.end()) {
-    return 0;  // trace already finished (straggler work after the reply)
+    return nullptr;  // trace already finished (straggler work after the reply)
   }
-  SpanRec rec;
+  SpanRec& rec = it->second.emplace_back();
   rec.id = next_id_++;
   rec.trace = ctx.trace;
   rec.parent = ctx.span;
   rec.name = name;
   rec.stage = stage;
   rec.track = track;
-  rec.start = now;
-  it->second.push_back(rec);
-  return rec.id;
+  rec.start = start;
+  return &rec;
+}
+
+SpanId Tracer::BeginSpanIn(const TraceContext& ctx, const char* name, Stage stage,
+                           uint32_t track, SimTime now) {
+  SpanRec* rec = AppendSpan(ctx, name, stage, track, now);
+  return rec == nullptr ? 0 : rec->id;
 }
 
 void Tracer::EndSpan(const TraceContext& ctx, SpanId span, SimTime now) {
@@ -73,9 +78,8 @@ void Tracer::EndSpan(const TraceContext& ctx, SpanId span, SimTime now) {
 
 void Tracer::RecordSpanIn(const TraceContext& ctx, const char* name, Stage stage,
                           uint32_t track, SimTime start, SimTime end) {
-  SpanId id = BeginSpanIn(ctx, name, stage, track, start);
-  if (id != 0) {
-    live_[ctx.trace].back().end = end;
+  if (SpanRec* rec = AppendSpan(ctx, name, stage, track, start)) {
+    rec->end = end;
   }
 }
 

@@ -126,6 +126,10 @@ class Tracer {
   size_t retained_spans() const { return retained_.size(); }
 
  private:
+  // Appends a span under `ctx` with one trace lookup; null when inactive or
+  // the trace already finished.
+  SpanRec* AppendSpan(const TraceContext& ctx, const char* name, Stage stage, uint32_t track,
+                      SimTime start);
   SpanRec* FindSpan(TraceId trace, SpanId span);
 
   bool enabled_ = false;

@@ -1,16 +1,28 @@
 // Deterministic discrete-event loop.
 //
-// Events fire in (time, insertion-sequence) order, so two events scheduled
-// for the same instant run in the order they were scheduled — this, plus the
-// seeded Rng, is what makes whole-cluster runs replayable.
+// Contract:
+//  - Ordering. Events fire in (time, insertion-sequence) order, so two events
+//    scheduled for the same instant run in the order they were scheduled —
+//    this, plus the seeded Rng, is what makes whole-cluster runs replayable.
+//  - Storage. Each pending event lives in a slot of a slab (callback plus
+//    EventContext); freed slots are reused through a free list. The heap is a
+//    dense binary heap of 16-byte keys (at, seq << 24 | slot), so it moves no
+//    callbacks, and pos_[slot] is each pending slot's heap index.
+//  - Ids. A TimerId is (generation << 32) | (slot + 1). A slot's generation
+//    is bumped whenever it is freed, so an id names exactly one event, and
+//    kInvalidTimer (0) names none.
+//  - Eager cancel. Cancel() of a pending event removes its key from the heap
+//    at once and frees its slot: the heap holds only live events, and
+//    pending() is exactly the number of events still to run. Cancel() of an
+//    id that already fired, was already cancelled, or whose slot now holds a
+//    newer event is a no-op. An event's slot is freed before its callback
+//    runs, so a callback cancelling its own id is a no-op too.
 
 #ifndef EDC_SIM_EVENT_LOOP_H_
 #define EDC_SIM_EVENT_LOOP_H_
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "edc/sim/time.h"
@@ -35,7 +47,8 @@ class EventLoop {
   TimerId Schedule(Duration delay, Callback cb);
   TimerId ScheduleAt(SimTime at, Callback cb);
 
-  // Cancels a pending timer; no-op if it already fired or was cancelled.
+  // Cancels a pending timer; no-op if it already fired, was cancelled, or its
+  // slot now holds a newer event.
   void Cancel(TimerId id);
 
   // Runs until no events remain or Stop() is called. Returns events processed.
@@ -65,35 +78,39 @@ class EventLoop {
     activate_ = std::move(activate);
   }
 
-  size_t pending() const { return queue_.size() - cancelled_.size(); }
+  size_t pending() const { return heap_.size(); }
   uint64_t events_processed() const { return events_processed_; }
 
  private:
-  struct Event {
-    SimTime at;
-    uint64_t seq;
-    TimerId id;
+  static constexpr int kSlotBits = 24;
+  static constexpr uint64_t kSlotMask = (uint64_t{1} << kSlotBits) - 1;
+
+  struct Key {
+    SimTime at = 0;
+    uint64_t order = 0;  // seq << kSlotBits | slot
+    bool operator<(const Key& o) const { return at < o.at || (at == o.at && order < o.order); }
+  };
+  struct Slot {
     Callback cb;
     EventContext ctx;
-  };
-  struct EventLater {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) {
-        return a.at > b.at;
-      }
-      return a.seq > b.seq;
-    }
+    uint32_t gen = 0;
   };
 
-  bool PopAndRun();
+  static uint32_t SlotOf(const Key& k) { return static_cast<uint32_t>(k.order & kSlotMask); }
+  void FreeSlot(uint32_t slot);
+  void RemoveAt(size_t i);
+  void SiftUp(size_t i, Key k);
+  void SiftDown(size_t i, Key k);
+  void PopAndRun();
 
   SimTime now_ = 0;
   uint64_t next_seq_ = 1;
-  TimerId next_id_ = 1;
   bool stopped_ = false;
   uint64_t events_processed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
-  std::unordered_set<TimerId> cancelled_;
+  std::vector<Key> heap_;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> pos_;   // heap index of each pending slot
+  std::vector<uint32_t> free_;  // reusable slots, most recently freed last
   ContextCapture capture_;
   ContextActivate activate_;
 };

@@ -34,12 +34,19 @@ class RecipeTest : public ::testing::TestWithParam<SystemParam> {
   bool ext() const { return IsExtensible(GetParam().kind); }
 };
 
+// gtest prints a parameter without operator<< as its raw bytes, and ctest's
+// discovered test names carry that print. The table lives in static storage so
+// the padding after `kind` is zero rather than stack garbage, which made the
+// names differ from build to build.
+constexpr SystemParam kSystems[] = {
+    {SystemKind::kZooKeeper, "ZooKeeper"},
+    {SystemKind::kExtensibleZooKeeper, "EZK"},
+    {SystemKind::kDepSpace, "DepSpace"},
+    {SystemKind::kExtensibleDepSpace, "EDS"},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    AllSystems, RecipeTest,
-    ::testing::Values(SystemParam{SystemKind::kZooKeeper, "ZooKeeper"},
-                      SystemParam{SystemKind::kExtensibleZooKeeper, "EZK"},
-                      SystemParam{SystemKind::kDepSpace, "DepSpace"},
-                      SystemParam{SystemKind::kExtensibleDepSpace, "EDS"}),
+    AllSystems, RecipeTest, ::testing::ValuesIn(kSystems),
     [](const ::testing::TestParamInfo<SystemParam>& info) { return info.param.name; });
 
 TEST_P(RecipeTest, CoordApiConformance) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace edc {
 namespace {
 
@@ -92,6 +94,10 @@ struct BadCase {
   const char* name;
   const char* src;
 };
+
+// Without this gtest prints the two pointers, and the discovered ctest names
+// change with every build's load address.
+void PrintTo(const BadCase& c, std::ostream* os) { *os << c.name; }
 
 class ParserRejectTest : public ::testing::TestWithParam<BadCase> {};
 
