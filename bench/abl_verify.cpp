@@ -11,7 +11,6 @@
 #include "edc/script/analysis/analyzer.h"
 #include "edc/recipes/scripts.h"
 #include "edc/script/builtins.h"
-#include "edc/script/interpreter.h"
 #include "edc/script/parser.h"
 #include "edc/script/verifier.h"
 
@@ -29,7 +28,7 @@ VerifierConfig BenchConfig() {
   return cfg;
 }
 
-// A host returning canned objects so the interpreter can run the real queue
+// A host returning canned objects so the sandbox can run the real queue
 // extension without a server.
 class CannedHost : public ScriptHost {
  public:
@@ -68,8 +67,8 @@ BENCHMARK(BM_ParseAndVerify);
 
 void BM_AnalyzeProgram(benchmark::State& state) {
   // The full registration-time analysis: CFG + dataflow + cost bounding +
-  // determinism taint (docs/static_analysis.md). This is the one-time price
-  // whose payoff is measured by BM_CertifiedInvocation below.
+  // determinism taint (docs/static_analysis.md): part of the one-time price
+  // BM_RegistryLoad pays.
   VerifierConfig cfg = BenchConfig();
   cfg.collection_functions = {"children", "sub_objects"};
   auto program = ParseProgram(kQueueExtension);
@@ -91,31 +90,24 @@ void BM_RegistryLoad(benchmark::State& state) {
 BENCHMARK(BM_RegistryLoad);
 
 void BM_ExtensionInvocation(benchmark::State& state) {
-  auto program = ParseProgram(kQueueExtension);
+  // One sandboxed invocation of the registered queue extension: the
+  // recurring per-request cost, against the one-time BM_RegistryLoad.
+  ExtensionRegistry registry;
+  VerifierConfig cfg = BenchConfig();
+  cfg.collection_functions = {"children", "sub_objects"};
+  if (!registry.Load("queue_remove", 1, kQueueExtension, cfg).ok()) {
+    state.SkipWithError("queue extension failed to load");
+    return;
+  }
+  const LoadedExtension* ext = registry.Find("queue_remove");
   CannedHost host;
   for (auto _ : state) {
-    Interpreter interp(program->get(), &host, ExecBudget{});
-    auto out = interp.Invoke("read", {Value("/queue/head")});
-    benchmark::DoNotOptimize(out);
+    HandlerRun run = RunExtensionHandler(*ext, "read", {Value("/queue/head")}, &host,
+                                         cfg.limits);
+    benchmark::DoNotOptimize(run);
   }
 }
 BENCHMARK(BM_ExtensionInvocation);
-
-void BM_CertifiedInvocation(benchmark::State& state) {
-  // Same invocation with the metering the analyzer's certificate makes
-  // redundant elided; delta vs BM_ExtensionInvocation is the recurring
-  // per-request payoff of verifying once at registration.
-  auto program = ParseProgram(kQueueExtension);
-  CannedHost host;
-  ExecBudget elided;
-  elided.metered = false;
-  for (auto _ : state) {
-    Interpreter interp(program->get(), &host, elided);
-    auto out = interp.Invoke("read", {Value("/queue/head")});
-    benchmark::DoNotOptimize(out);
-  }
-}
-BENCHMARK(BM_CertifiedInvocation);
 
 void BM_SubscriptionMatch(benchmark::State& state) {
   // The per-request cost every operation pays on an extensible server.

@@ -6,6 +6,8 @@
 # the dynamic-membership suite (docs/reconfig.md),
 # the bytecode-VM conformance tier (docs/bytecode_vm.md),
 # the event-loop tier (ordering, eager cancel, differential test),
+# the recipes tier (every recipe on all four systems; LeakSanitizer-gated in
+# the asan smoke preset),
 # and the lint tier (docs/static_analysis.md):
 # edc-lint golden tests, edc-lint over the example scripts, and clang-tidy
 # when available. Any failure aborts.
@@ -78,7 +80,9 @@ run_lint_tier
 
 cd "$BUILD_DIR"
 echo "== tier-1 tests =="
-ctest --output-on-failure -j "$JOBS" -LE 'chaos|model|obs|lint|shard|pipeline|reconfig|vm|sim'
+ctest --output-on-failure -j "$JOBS" -LE 'chaos|model|obs|lint|shard|pipeline|reconfig|vm|sim|recipes'
+echo "== recipes tests =="
+ctest --output-on-failure -j "$JOBS" --no-tests=error -L recipes
 echo "== event loop tests =="
 ctest --output-on-failure -j "$JOBS" --no-tests=error -L sim
 echo "== chaos tests =="

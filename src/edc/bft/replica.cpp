@@ -433,37 +433,6 @@ void BftReplica::TryExecute() {
 
 // ------------------------------------------------- checkpoints / GC / transfer
 
-namespace {
-
-// LogStore::SerializeImage framing for the embedded service snapshot: u32
-// length + u64 FNV-1a checksum + payload, little-endian.
-void AppendFramed(Encoder& enc, const std::vector<uint8_t>& payload) {
-  enc.PutU32(static_cast<uint32_t>(payload.size()));
-  enc.PutU64(Fnv1a64(payload));
-  for (uint8_t b : payload) {
-    enc.PutU8(b);
-  }
-}
-
-Result<std::vector<uint8_t>> ReadFramed(Decoder& dec) {
-  auto len = dec.GetU32();
-  auto sum = dec.GetU64();
-  if (!len.ok() || !sum.ok() || dec.remaining() < *len) {
-    return Status(ErrorCode::kDecodeError, "truncated snapshot frame");
-  }
-  std::vector<uint8_t> payload;
-  payload.reserve(*len);
-  for (uint32_t i = 0; i < *len; ++i) {
-    payload.push_back(*dec.GetU8());
-  }
-  if (Fnv1a64(payload) != *sum) {
-    return Status(ErrorCode::kDecodeError, "snapshot frame checksum mismatch");
-  }
-  return payload;
-}
-
-}  // namespace
-
 std::vector<uint8_t> BftReplica::ComposeCheckpoint() {
   // Pure function of the executed history: every field below is updated only
   // during ordered execution (or at the deterministic checkpoint boundary in
@@ -481,7 +450,7 @@ std::vector<uint8_t> BftReplica::ComposeCheckpoint() {
       enc.PutU64(id);
     }
   }
-  AppendFramed(enc, callbacks_->TakeSnapshot());
+  PutFramed(enc, callbacks_->TakeSnapshot());
   return enc.Release();
 }
 
@@ -721,11 +690,13 @@ bool BftReplica::InstallCheckpoint(uint64_t seq, const std::vector<uint8_t>& sta
       d.ids.insert(*id);
     }
   }
-  auto service = ReadFramed(dec);
-  if (!service.ok()) {
+  // The embedded service snapshot must be one intact frame; a truncated
+  // checkpoint is rejected like a corrupt one.
+  std::vector<uint8_t> service;
+  if (GetFramed(dec, &service) != FrameStatus::kOk) {
     return false;
   }
-  if (auto s = callbacks_->RestoreSnapshot(*service); !s.ok()) {
+  if (auto s = callbacks_->RestoreSnapshot(service); !s.ok()) {
     EDC_LOG(kWarn) << "replica " << config_.self << " snapshot restore failed: "
                    << s.message();
     return false;

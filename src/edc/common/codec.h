@@ -8,6 +8,10 @@
 // Format: little-endian fixed-width integers, unsigned LEB128 varints, and
 // length-prefixed byte strings. Decoder is bounds-checked and never reads past
 // the underlying buffer; all failures surface as kDecodeError.
+//
+// PutFramed/GetFramed add the one checksummed framing the storage paths
+// share (log records, snapshot images, the BFT checkpoint's service
+// snapshot): u32 payload length + u64 FNV-1a of the payload + payload.
 
 #ifndef EDC_COMMON_CODEC_H_
 #define EDC_COMMON_CODEC_H_
@@ -16,8 +20,10 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "edc/common/hash.h"
 #include "edc/common/result.h"
 
 namespace edc {
@@ -49,8 +55,10 @@ class Encoder {
   }
   void PutBytes(const std::vector<uint8_t>& b) {
     PutVarint(b.size());
-    buf_.insert(buf_.end(), b.begin(), b.end());
+    PutRaw(b);
   }
+  // Raw bytes, no length prefix.
+  void PutRaw(const std::vector<uint8_t>& b) { buf_.insert(buf_.end(), b.begin(), b.end()); }
 
   const std::vector<uint8_t>& buffer() const { return buf_; }
   std::vector<uint8_t> Release() { return std::move(buf_); }
@@ -134,11 +142,16 @@ class Decoder {
     if (!n.ok()) {
       return n.status();
     }
-    if (pos_ + *n > size_) {
+    return GetRaw(*n);
+  }
+
+  // The next `n` raw bytes (no length prefix).
+  Result<std::vector<uint8_t>> GetRaw(uint64_t n) {
+    if (n > size_ - pos_) {
       return Fail();
     }
-    std::vector<uint8_t> b(data_ + pos_, data_ + pos_ + *n);
-    pos_ += *n;
+    std::vector<uint8_t> b(data_ + pos_, data_ + pos_ + n);
+    pos_ += n;
     return b;
   }
 
@@ -163,6 +176,42 @@ class Decoder {
   size_t size_;
   size_t pos_ = 0;
 };
+
+// Checksummed frame: u32 payload length + u64 FNV-1a of the payload (both
+// little-endian) + the payload bytes.
+constexpr size_t kFrameHeaderBytes = 12;
+
+inline void PutFramed(Encoder& enc, const std::vector<uint8_t>& payload) {
+  enc.PutU32(static_cast<uint32_t>(payload.size()));
+  enc.PutU64(Fnv1a64(payload));
+  enc.PutRaw(payload);
+}
+
+enum class FrameStatus {
+  kOk,
+  kTruncated,  // the buffer ends inside the frame's header or payload
+  kCorrupt,    // a complete frame whose payload fails its checksum
+};
+
+// Reads one frame into *payload (set only on kOk). Each caller picks its own
+// policy for the two failures: the log keeps its clean prefix on a torn
+// tail, a snapshot image must be exactly one intact frame.
+inline FrameStatus GetFramed(Decoder& dec, std::vector<uint8_t>* payload) {
+  auto length = dec.GetU32();
+  auto checksum = dec.GetU64();
+  if (!length.ok() || !checksum.ok()) {
+    return FrameStatus::kTruncated;
+  }
+  auto body = dec.GetRaw(*length);
+  if (!body.ok()) {
+    return FrameStatus::kTruncated;
+  }
+  if (Fnv1a64(*body) != *checksum) {
+    return FrameStatus::kCorrupt;
+  }
+  *payload = std::move(*body);
+  return FrameStatus::kOk;
+}
 
 }  // namespace edc
 

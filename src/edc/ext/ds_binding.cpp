@@ -302,14 +302,10 @@ DsExtensionManager::DsExtensionManager(DsServer* server, ExtensionLimits limits)
   // Active replication: every replica executes every extension, so the white
   // list must be fully deterministic (§4.1.1).
   verifier_config_.require_deterministic = true;
-  // Certification (§4.2): proven-bounded handlers run with metering elided.
-  verifier_config_.certify_max_steps = limits_.max_steps;
+  // The analyses assume the limits the sandbox actually runs with (see
+  // zk_binding.cpp for the rationale).
   verifier_config_.collection_functions = {"children", "sub_objects"};
-  verifier_config_.max_collection_items = limits_.max_collection_items;
-  // Seed the analyzer's input/value-size assumptions from the actual runtime
-  // limits (see zk_binding.cpp for the rationale).
-  verifier_config_.max_input_bytes = limits_.max_input_bytes;
-  verifier_config_.max_value_bytes = limits_.max_value_bytes;
+  verifier_config_.limits = limits_;
   server_->SetHooks(this);
 }
 
@@ -414,9 +410,9 @@ DsExecOutcome DsExtensionManager::HandleEmTraffic(DsExecContext* ctx, NodeId cli
     }
     if (Obs* obs = server_->obs()) {
       LoadedExtension* loaded = registry_.Find(BaseName(path));
-      if (loaded != nullptr && loaded->compiled != nullptr) {
+      if (loaded != nullptr) {
         obs->metrics.GetCounter("ext.compiled")
-            ->Add(static_cast<int64_t>(loaded->compiled->handlers.size()));
+            ->Add(static_cast<int64_t>(loaded->compiled.handlers.size()));
       }
     }
     outcome.has_result = true;
@@ -494,17 +490,7 @@ DsExecOutcome DsExtensionManager::RunOperationExtension(const LoadedExtension& e
   CostModel costs;
   outcome.cpu_cost = costs.ext_invoke_cpu + run.steps_used * costs.ext_step_cpu;
   if (Obs* obs = server_->obs()) {
-    obs->metrics.GetCounter("ext.invocations")->Increment();
-    obs->metrics.GetCounter("ext.steps")->Add(run.steps_used);
-    if (run.certified) {
-      obs->metrics.GetCounter("ext.certified")->Increment();
-    }
-    if (!run.metered) {
-      obs->metrics.GetCounter("ext.metering_elided")->Increment();
-    }
-    if (run.vm_dispatched) {
-      obs->metrics.GetCounter("ext.vm_dispatches")->Increment();
-    }
+    CountHandlerRun(run, &obs->metrics);
   }
 
   if (!result.ok()) {
@@ -569,17 +555,7 @@ void DsExtensionManager::RunEventExtension(LoadedExtension* ext, DsExecContext* 
   HandlerRun run = RunExtensionHandler(*ext, handler_name, std::move(args), &host, limits_);
   const Result<Value>& result = run.result;
   if (Obs* obs = server_->obs()) {
-    obs->metrics.GetCounter("ext.invocations")->Increment();
-    obs->metrics.GetCounter("ext.steps")->Add(run.steps_used);
-    if (run.certified) {
-      obs->metrics.GetCounter("ext.certified")->Increment();
-    }
-    if (!run.metered) {
-      obs->metrics.GetCounter("ext.metering_elided")->Increment();
-    }
-    if (run.vm_dispatched) {
-      obs->metrics.GetCounter("ext.vm_dispatches")->Increment();
-    }
+    CountHandlerRun(run, &obs->metrics);
   }
   if (!result.ok()) {
     EDC_LOG(kDebug) << "event extension '" << ext->name

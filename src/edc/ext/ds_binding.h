@@ -22,7 +22,7 @@
 #include "edc/ds/hooks.h"
 #include "edc/ds/server.h"
 #include "edc/ext/registry.h"
-#include "edc/script/interpreter.h"
+#include "edc/script/sandbox.h"
 
 namespace edc {
 

@@ -21,19 +21,19 @@ Status ExtensionRegistry::Load(const std::string& name, uint64_t owner,
   if (auto s = ToVerifierStatus(report); !s.ok()) {
     return s;
   }
+  // Compile every handler once, here, so each later invocation dispatches
+  // straight into bytecode ("verification pays once", §4.2).
+  auto compiled = CompileProgram(**program);
+  if (!compiled.ok()) {
+    return compiled.status();
+  }
   LoadedExtension ext;
   ext.name = name;
   ext.owner = owner;
   ext.program = std::move(*program);
   ext.reg_order = next_order_++;
   ext.reports = std::move(report.handlers);
-  // Compile the certified handlers once, here, so every later invocation
-  // dispatches straight into bytecode ("verification pays once", §4.2).
-  CompileOptions copts;
-  copts.collection_functions = config.collection_functions;
-  copts.max_collection_items = static_cast<int64_t>(config.max_collection_items);
-  ext.compiled = std::make_shared<const CompiledModule>(
-      CompileProgram(*ext.program, ext.reports, copts));
+  ext.compiled = std::move(*compiled);
   extensions_[name] = std::move(ext);
   RefreshLint();
   return Status::Ok();
@@ -53,17 +53,10 @@ HandlerRun RunExtensionHandler(const LoadedExtension& ext, const std::string& ha
                                const ExtensionLimits& limits) {
   HandlerRun run;
   run.certified = ext.Certified(handler_name);
-  ExecBudget budget;
-  budget.max_steps = limits.max_steps;
-  budget.max_value_bytes = limits.max_value_bytes;
-  budget.max_input_bytes = limits.max_input_bytes;
-  budget.max_collection_items = limits.max_collection_items;
-  budget.metered = !(run.certified && limits.enable_metering_elision);
-  run.metered = budget.metered;
-  // Argument ingest check, identical on both engines (pre-dispatch, zero
-  // steps): the analyzer seeded the handler's parameter bounds from
-  // max_input_bytes, so an oversized argument must never reach a certified
-  // handler — the proven step bound would not cover it.
+  // Argument ingest check (pre-dispatch, zero steps): the analyzer seeded
+  // the handler's parameter bounds from max_input_bytes, so an oversized
+  // argument must never reach a handler — its proven step bound would not
+  // cover it.
   for (const Value& arg : args) {
     bool oversized = false;
     if (arg.is_list()) {
@@ -80,20 +73,19 @@ HandlerRun RunExtensionHandler(const LoadedExtension& ext, const std::string& ha
       return run;
     }
   }
-  const CompiledHandler* compiled =
-      (limits.enable_vm && ext.compiled != nullptr) ? ext.compiled->Find(handler_name)
-                                                    : nullptr;
-  if (compiled != nullptr) {
-    Vm vm(ext.compiled.get(), host, budget);
-    run.result = vm.Run(*compiled, std::move(args));
-    run.steps_used = vm.stats().steps_used;
-    run.vm_dispatched = true;
-    return run;
-  }
-  Interpreter interp(ext.program.get(), host, budget);
-  run.result = interp.Invoke(handler_name, std::move(args));
-  run.steps_used = interp.stats().steps_used;
+  Vm vm(&ext.compiled, host, limits);
+  run.result = vm.Invoke(handler_name, std::move(args));
+  run.steps_used = vm.stats().steps_used;
   return run;
+}
+
+void CountHandlerRun(const HandlerRun& run, MetricsRegistry* metrics) {
+  metrics->GetCounter("ext.invocations")->Increment();
+  metrics->GetCounter("ext.steps")->Add(run.steps_used);
+  if (run.certified) {
+    metrics->GetCounter("ext.certified")->Increment();
+  }
+  metrics->GetCounter("ext.vm_dispatches")->Increment();
 }
 
 void ExtensionRegistry::Unload(const std::string& name) {

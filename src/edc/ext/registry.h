@@ -25,46 +25,12 @@
 #include "edc/common/result.h"
 #include "edc/script/analysis/analyzer.h"
 #include "edc/script/ast.h"
-#include "edc/script/interpreter.h"
+#include "edc/obs/metrics.h"
+#include "edc/script/sandbox.h"
 #include "edc/script/verifier.h"
 #include "edc/script/vm/bytecode.h"
 
 namespace edc {
-
-// Resource-consumption bounds enforced by the sandbox (§4.1.2).
-struct ExtensionLimits {
-  int64_t max_steps = 100000;          // interpreter steps per invocation
-  size_t max_value_bytes = 64 * 1024;  // largest intermediate value
-  size_t max_state_ops = 256;          // coordination-state accesses per invocation
-  size_t max_created_objects = 64;     // objects created per invocation
-  // Consecutive runtime failures before the manager evicts the extension
-  // (0 = never). Registration-time verification cannot prove absence of
-  // runtime errors (§4.1.2); eviction bounds the damage of a crash-looping
-  // extension.
-  int strike_limit = 0;
-  // Cap on list sizes returned by collection host functions (children,
-  // sub_objects). The static cost pass assumes this cap when bounding
-  // foreach loops, so the sandbox must enforce it at runtime. The same cap
-  // bounds lists built by builtins (split, append) inside the sandbox.
-  size_t max_collection_items = 256;
-  // Ingest cap on values crossing into the sandbox: handler arguments and
-  // host-call results (element-wise for lists) must fit in this many
-  // ApproxSize bytes. The abstract-interpretation layer seeds its input
-  // string-length intervals from this number, so handlers looping over
-  // split() of their inputs get finite certified step bounds
-  // (docs/static_analysis.md).
-  size_t max_input_bytes = 2048;
-  // When true, handlers certified at registration (proven step bound within
-  // max_steps) run without the per-node step-limit check (§4.2).
-  bool enable_metering_elision = true;
-  // When true, handlers that compiled to bytecode at registration dispatch
-  // through the register VM instead of the tree-walking interpreter
-  // (docs/bytecode_vm.md). Results, error Statuses and steps_used are
-  // identical on both engines; this switch exists so the equivalence can be
-  // checked end to end (tests/ext/elision_digest_test.cpp) and as a
-  // kill switch.
-  bool enable_vm = true;
-};
 
 struct LoadedExtension {
   std::string name;
@@ -73,12 +39,11 @@ struct LoadedExtension {
   std::set<uint64_t> acks;
   uint64_t reg_order = 0;
   int strikes = 0;
-  // Per-handler analysis verdicts from registration time; drives metering
-  // elision for certified handlers.
+  // Per-handler analysis verdicts from registration time (lint and the
+  // `ext.certified` counter; they do not change how a handler runs).
   std::map<std::string, HandlerReport> reports;
-  // Bytecode for the certified handlers (compiled once at registration;
-  // uncertified or uncompilable handlers are absent and keep interpreting).
-  std::shared_ptr<const CompiledModule> compiled;
+  // Bytecode for every handler, compiled once at registration.
+  CompiledModule compiled;
 
   // True iff `handler` was certified by the static analyzer (proven
   // worst-case step bound within the execution budget).
@@ -91,24 +56,25 @@ struct LoadedExtension {
 // Outcome of one handler dispatch through RunExtensionHandler.
 struct HandlerRun {
   Result<Value> result = Value();
-  int64_t steps_used = 0;     // identical on either engine
-  bool certified = false;     // analyzer verdict for the handler
-  bool metered = false;       // step-limit check was active
-  bool vm_dispatched = false; // ran on the bytecode VM (vs interpreter)
+  int64_t steps_used = 0;
+  bool certified = false;  // analyzer verdict for the handler
 };
 
-// Shared dispatch path for the EZK and EDS bindings: builds the ExecBudget
-// from `limits` (metering elision for certified handlers), runs
-// `handler_name` on the bytecode VM when a compiled form exists and
-// limits.enable_vm is set, and falls back to the interpreter otherwise.
+// Shared dispatch path for the EZK and EDS bindings: checks the arguments
+// against the ingest cap, then runs `handler_name` on the bytecode VM under
+// `limits`.
 HandlerRun RunExtensionHandler(const LoadedExtension& ext, const std::string& handler_name,
                                std::vector<Value> args, ScriptHost* host,
                                const ExtensionLimits& limits);
 
+// Counts one dispatch in `metrics` (ext.invocations, ext.steps,
+// ext.certified, ext.vm_dispatches).
+void CountHandlerRun(const HandlerRun& run, MetricsRegistry* metrics);
+
 class ExtensionRegistry {
  public:
-  // Parses, verifies and installs `source` under `name`. kExtensionRejected
-  // on any verifier violation.
+  // Parses, verifies, compiles and installs `source` under `name`.
+  // kExtensionRejected on any verifier violation.
   Status Load(const std::string& name, uint64_t owner, const std::string& source,
               const VerifierConfig& config);
   void Unload(const std::string& name);

@@ -296,19 +296,13 @@ ZkExtensionManager::ZkExtensionManager(ZkServer* server, ExtensionLimits limits)
   }
   // Primary-backup: nondeterministic host functions are admissible (§4.1.1).
   verifier_config_.require_deterministic = false;
-  // Certification (§4.2): a handler whose proven step bound fits the runtime
-  // budget runs unmetered. The cost pass relies on the sandbox capping
-  // collection results, so both sides must agree on the cap.
-  verifier_config_.certify_max_steps = limits_.max_steps;
+  // The cost pass relies on the sandbox capping collection results, and the
+  // abstract-interpretation layer seeds handler inputs and its string-length
+  // top from the *actual* runtime limits, not defaults: a host with a
+  // tighter budget gets tighter (still sound) bounds, and one with max_steps
+  // below a handler's bound does not certify it.
   verifier_config_.collection_functions = {"children", "sub_objects"};
-  verifier_config_.max_collection_items = limits_.max_collection_items;
-  // The abstract-interpretation layer seeds handler inputs and its
-  // string-length top from the *actual* runtime limits, not defaults: a host
-  // with a tighter budget gets tighter (still sound) bounds, and one with
-  // max_steps below a handler's bound rejects certification instead of
-  // mis-certifying.
-  verifier_config_.max_input_bytes = limits_.max_input_bytes;
-  verifier_config_.max_value_bytes = limits_.max_value_bytes;
+  verifier_config_.limits = limits_;
   server_->SetHooks(this);
 }
 
@@ -409,17 +403,7 @@ ZkPrepOutcome ZkExtensionManager::RunOperationExtension(const LoadedExtension& e
   CostModel costs;
   outcome.extra_cpu = costs.ext_invoke_cpu + run.steps_used * costs.ext_step_cpu;
   if (Obs* obs = server_->obs()) {
-    obs->metrics.GetCounter("ext.invocations")->Increment();
-    obs->metrics.GetCounter("ext.steps")->Add(run.steps_used);
-    if (run.certified) {
-      obs->metrics.GetCounter("ext.certified")->Increment();
-    }
-    if (!run.metered) {
-      obs->metrics.GetCounter("ext.metering_elided")->Increment();
-    }
-    if (run.vm_dispatched) {
-      obs->metrics.GetCounter("ext.vm_dispatches")->Increment();
-    }
+    CountHandlerRun(run, &obs->metrics);
   }
 
   if (!result.ok()) {
@@ -495,17 +479,7 @@ void ZkExtensionManager::RunEventExtensions(const ZkEvent& event, const std::str
     CostModel costs;
     Duration cpu = costs.ext_invoke_cpu + run.steps_used * costs.ext_step_cpu;
     if (Obs* obs = server_->obs()) {
-      obs->metrics.GetCounter("ext.invocations")->Increment();
-      obs->metrics.GetCounter("ext.steps")->Add(run.steps_used);
-      if (run.certified) {
-        obs->metrics.GetCounter("ext.certified")->Increment();
-      }
-      if (!run.metered) {
-        obs->metrics.GetCounter("ext.metering_elided")->Increment();
-      }
-      if (run.vm_dispatched) {
-        obs->metrics.GetCounter("ext.vm_dispatches")->Increment();
-      }
+      CountHandlerRun(run, &obs->metrics);
     }
     if (!result.ok()) {
       EDC_LOG(kDebug) << "event extension '" << ext->name
@@ -548,9 +522,9 @@ void ZkExtensionManager::ObserveAppliedOp(const ZkTxnOp& op) {
         EDC_LOG(kError) << "replicated extension failed to load: " << s.ToString();
       } else if (Obs* obs = server_->obs()) {
         LoadedExtension* loaded = registry_.Find(BaseName(op.path));
-        if (loaded != nullptr && loaded->compiled != nullptr) {
+        if (loaded != nullptr) {
           obs->metrics.GetCounter("ext.compiled")
-              ->Add(static_cast<int64_t>(loaded->compiled->handlers.size()));
+              ->Add(static_cast<int64_t>(loaded->compiled.handlers.size()));
         }
       }
       return;

@@ -28,7 +28,7 @@
 
 #include "edc/common/rng.h"
 #include "edc/ext/registry.h"
-#include "edc/script/interpreter.h"
+#include "edc/script/sandbox.h"
 #include "edc/zk/hooks.h"
 #include "edc/zk/server.h"
 

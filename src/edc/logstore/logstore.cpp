@@ -3,43 +3,9 @@
 #include <algorithm>
 #include <utility>
 
-#include "edc/common/hash.h"
+#include "edc/common/codec.h"
 
 namespace edc {
-
-namespace {
-
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-uint32_t GetU32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
-constexpr size_t kRecordHeaderBytes = 12;  // u32 length + u64 checksum
-
-}  // namespace
 
 Duration LogStore::InitialWindow(const LogStoreConfig& config) {
   if (!config.adaptive_window) {
@@ -227,38 +193,29 @@ void LogStore::DropUnsynced() {
 }
 
 std::vector<uint8_t> LogStore::SerializeImage() const {
-  std::vector<uint8_t> image;
+  Encoder enc;
   for (const std::vector<uint8_t>& record : records_) {
-    PutU32(&image, static_cast<uint32_t>(record.size()));
-    PutU64(&image, Fnv1a64(record));
-    image.insert(image.end(), record.begin(), record.end());
+    PutFramed(enc, record);
   }
-  return image;
+  return enc.Release();
 }
 
 Result<size_t> LogStore::RestoreImage(const std::vector<uint8_t>& image) {
   std::vector<std::vector<uint8_t>> restored;
-  size_t pos = 0;
-  while (pos < image.size()) {
-    if (image.size() - pos < kRecordHeaderBytes) {
-      break;  // torn header: keep the clean prefix
+  Decoder dec(image);
+  while (!dec.AtEnd()) {
+    std::vector<uint8_t> record;
+    FrameStatus frame = GetFramed(dec, &record);
+    if (frame == FrameStatus::kTruncated) {
+      break;  // torn tail: keep the clean prefix
     }
-    uint32_t length = GetU32(image.data() + pos);
-    uint64_t checksum = GetU64(image.data() + pos + 4);
-    if (image.size() - pos - kRecordHeaderBytes < length) {
-      break;  // torn payload: keep the clean prefix
-    }
-    std::vector<uint8_t> record(image.begin() + static_cast<ptrdiff_t>(pos + kRecordHeaderBytes),
-                                image.begin() +
-                                    static_cast<ptrdiff_t>(pos + kRecordHeaderBytes + length));
-    if (Fnv1a64(record) != checksum) {
+    if (frame == FrameStatus::kCorrupt) {
       // A complete record whose bytes don't match its checksum is corruption,
       // not a crash mid-write; refuse the image rather than silently dropping
       // interior history.
       return Status(ErrorCode::kDecodeError, "log record checksum mismatch");
     }
     restored.push_back(std::move(record));
-    pos += kRecordHeaderBytes + length;
   }
   records_ = std::move(restored);
   return records_.size();

@@ -276,15 +276,19 @@ void DsCoordClient::Monitor(const std::string& path, Cb done) {
 void DsCoordClient::OnDeleted(const std::string& path, std::function<void()> fired) {
   // DepSpace exposes no deletion events; poll (the paper's election numbers
   // for DepSpace reflect exactly this weakness).
+  // The poll function holds itself only weakly; the pending read or timer
+  // holds it strongly, so it is freed once the deletion fires.
   auto poll = std::make_shared<std::function<void()>>();
-  *poll = [this, path, fired = std::move(fired), poll]() {
-    client_->Rdp(ObjectTemplate(path), [this, fired, poll](Result<DsReply> r) {
-      if (!r.ok()) {
-        fired();
-        return;
-      }
-      loop_->Schedule(kDeletionPollInterval, [poll]() { (*poll)(); });
-    });
+  std::weak_ptr<std::function<void()>> weak_poll = poll;
+  *poll = [this, path, fired = std::move(fired), weak_poll]() {
+    client_->Rdp(ObjectTemplate(path),
+                 [this, fired, self = weak_poll.lock()](Result<DsReply> r) {
+                   if (!r.ok()) {
+                     fired();
+                     return;
+                   }
+                   loop_->Schedule(kDeletionPollInterval, [self]() { (*self)(); });
+                 });
   };
   (*poll)();
 }

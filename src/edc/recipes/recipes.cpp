@@ -212,8 +212,11 @@ void DistributedQueue::TryRemove(std::shared_ptr<ValueCb> done, int attempts) {
                        return a.ctime < b.ctime;
                      });
     auto index = std::make_shared<size_t>(0);
+    // The step function holds itself only weakly; the pending Delete's
+    // callback holds it strongly, so the chain is freed once it stops.
     auto try_next = std::make_shared<std::function<void()>>();
-    *try_next = [this, done, attempts, objs, index, try_next]() {
+    std::weak_ptr<std::function<void()>> weak_next = try_next;
+    *try_next = [this, done, attempts, objs, index, weak_next]() {
       if (*index >= objs->size()) {
         ++retries_;
         TryRemove(done, attempts + 1);
@@ -221,15 +224,14 @@ void DistributedQueue::TryRemove(std::shared_ptr<ValueCb> done, int attempts) {
       }
       const CoordObject& candidate = (*objs)[*index];
       client_->Delete(candidate.path,
-                      [this, done, attempts, objs, index, try_next,
+                      [done, index, next = weak_next.lock(),
                        data = candidate.data](Status s) {
-                        (void)this;
                         if (s.ok()) {
                           (*done)(data);
                           return;
                         }
                         ++*index;
-                        (*try_next)();
+                        (*next)();
                       });
     };
     (*try_next)();

@@ -173,11 +173,11 @@ AnalysisReport AnalyzeProgram(const Program& program, const VerifierConfig& conf
   }
 
   // ---- Per-handler passes ----
-  CostContext cost_ctx;
-  cost_ctx.collection_functions = config.collection_functions;
-  cost_ctx.collection_cap = static_cast<int64_t>(config.max_collection_items);
-  cost_ctx.max_input_bytes = static_cast<int64_t>(config.max_input_bytes);
-  cost_ctx.max_value_bytes = static_cast<int64_t>(config.max_value_bytes);
+  DomainContext cost_ctx;
+  cost_ctx.max_value_bytes = static_cast<int64_t>(config.limits.max_value_bytes);
+  cost_ctx.max_input_bytes = static_cast<int64_t>(config.limits.max_input_bytes);
+  cost_ctx.collection_cap = static_cast<int64_t>(config.limits.max_collection_items);
+  cost_ctx.collection_functions = &config.collection_functions;
 
   DeterminismContext det_ctx;
   det_ctx.allowed_functions = &config.allowed_functions;
@@ -208,19 +208,19 @@ AnalysisReport AnalyzeProgram(const Program& program, const VerifierConfig& conf
     diags.insert(diags.end(), cost.diags.begin(), cost.diags.end());
     hr.cost_bounded = cost.bounded;
     hr.step_bound = cost.steps;
-    hr.certified = cost.bounded && cost.steps <= config.certify_max_steps;
+    hr.certified = cost.bounded && cost.steps <= config.limits.max_steps;
     if (!cost.bounded) {
       Add(&diags, kDiagCostUnbounded, Severity::kWarning, handler.line, handler.col,
           name,
           "worst-case step cost of handler '" + name +
               "' is unbounded (loop over a collection with no static bound); "
-              "metering stays enabled");
+              "it is not certified");
     } else if (!hr.certified) {
       Add(&diags, kDiagCostOverBudget, Severity::kWarning, handler.line, handler.col,
           name,
           "worst-case step bound " + std::to_string(cost.steps) + " of handler '" +
               name + "' exceeds the execution budget " +
-              std::to_string(config.certify_max_steps) + "; metering stays enabled");
+              std::to_string(config.limits.max_steps) + "; it is not certified");
     }
 
     DeterminismResult det = CheckDeterminism(handler, det_ctx);

@@ -4,11 +4,10 @@
 // whitelist, CFG dataflow (liveness, reaching defs, dead store, unused
 // variable, unreachable code), worst-case cost bounding, and determinism
 // taint — and accumulates diagnostics instead of stopping at the first
-// violation. Per-handler results carry the certification verdict the
-// extension registry stores and the bindings use for metering elision:
-// a certified handler has a proven step bound within the execution budget,
-// so the interpreter can skip the per-node limit check (§4.2, "verification
-// pays once").
+// violation. Per-handler results carry the certification verdict: a
+// certified handler has a proven step bound within the execution budget.
+// Certification is a lint verdict (edc-lint, the `ext.certified` counter);
+// every handler runs on the same always-metered VM either way.
 
 #ifndef EDC_SCRIPT_ANALYSIS_ANALYZER_H_
 #define EDC_SCRIPT_ANALYSIS_ANALYZER_H_
@@ -28,7 +27,7 @@ namespace edc {
 struct HandlerReport {
   bool cost_bounded = false;
   int64_t step_bound = 0;     // valid only when cost_bounded
-  bool certified = false;     // cost_bounded && step_bound <= certify_max_steps
+  bool certified = false;     // cost_bounded && step_bound <= limits.max_steps
   bool deterministic = true;  // no nondeterministic taint reaches a sink
 };
 

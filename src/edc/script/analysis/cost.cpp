@@ -127,12 +127,7 @@ struct ExprResult {
 
 class CostAnalyzer {
  public:
-  explicit CostAnalyzer(const CostContext& ctx) : ctx_(ctx) {
-    dom_.max_value_bytes = ctx.max_value_bytes;
-    dom_.max_input_bytes = ctx.max_input_bytes;
-    dom_.collection_cap = ctx.collection_cap;
-    dom_.collection_functions = &ctx.collection_functions;
-  }
+  explicit CostAnalyzer(const DomainContext& ctx) : dom_(ctx) {}
 
   CostResult Run(const Handler& handler) {
     handler_ = handler.name;
@@ -276,7 +271,7 @@ class CostAnalyzer {
   // cost derived from the final (conservative) environment.
   AffBound LoopBodyFixpoint(const Stmt& stmt, const AbsValue& elem) {
     AffBound body_cost = AffBound::Const(0);
-    AbsValue widened = AbsValue::Widened(ctx_.max_value_bytes);
+    AbsValue widened = AbsValue::Widened(dom_.max_value_bytes);
     for (int iter = 0; iter < 64; ++iter) {
       AbsEnv before = env_;
       env_.Push();
@@ -341,7 +336,7 @@ class CostAnalyzer {
     diags_on_ = outer_diags;
 
     AffBound iterations_cost =
-        AffBound::PickMin(cost_a, cost_b, ctx_.max_input_bytes);
+        AffBound::PickMin(cost_a, cost_b, dom_.max_input_bytes);
     return AffBound::Add(AffBound::AddConst(list.cost, 1), iterations_cost);
   }
 
@@ -492,7 +487,7 @@ class CostAnalyzer {
         out.num = Interval::Add(a.num, b.num);
         out.str_len = AffBound::MinConst(
             AffBound::Add(StrishLen(a, dom_), StrishLen(b, dom_)),
-            ctx_.max_value_bytes);
+            dom_.max_value_bytes);
         out.card = AffBound::Inf();
         out.elem_len = AffBound::Inf();
         out.total_len = AffBound::Inf();
@@ -574,8 +569,7 @@ class CostAnalyzer {
     return {cost, AbsValue::Any()};
   }
 
-  const CostContext& ctx_;
-  DomainContext dom_;
+  const DomainContext& dom_;
   AbsEnv env_;
   bool bounded_ = true;
   bool sym_active_ = false;
@@ -587,7 +581,7 @@ class CostAnalyzer {
 
 }  // namespace
 
-CostResult BoundHandlerCost(const Handler& handler, const CostContext& ctx) {
+CostResult BoundHandlerCost(const Handler& handler, const DomainContext& ctx) {
   CostAnalyzer analyzer(ctx);
   return analyzer.Run(handler);
 }

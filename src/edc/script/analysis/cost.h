@@ -1,8 +1,9 @@
 // Worst-case step-cost bounding for CoordScript handlers (paper §4.1.1/§4.2),
 // built on the interval/length abstract domain in domains.h.
 //
-// The interpreter charges exactly one ExecBudget step per statement executed
-// and one per expression node evaluated. This pass mirrors that accounting
+// The sandbox charges exactly one step per statement executed and one per
+// expression node evaluated (the VM folds these charges onto instructions
+// without changing the count; docs/bytecode_vm.md). This pass mirrors that accounting
 // symbolically:
 //
 //   cost(expr)            = 1 + sum(cost(children))        (short-circuit and
@@ -36,9 +37,8 @@
 // diagnostics-enabled pass over the stabilized environments.
 //
 // A handler whose total bound is finite is `bounded`; if the bound also fits
-// the execution budget it is *certified* and the interpreter may elide
-// per-node limit checks (metering elision) — the certificate proves the check
-// can never fire.
+// the execution budget it is *certified*: the certificate proves the VM's
+// step-limit check can never fire for it.
 
 #ifndef EDC_SCRIPT_ANALYSIS_COST_H_
 #define EDC_SCRIPT_ANALYSIS_COST_H_
@@ -49,22 +49,10 @@
 #include <vector>
 
 #include "edc/script/analysis/diagnostics.h"
+#include "edc/script/analysis/domains.h"
 #include "edc/script/ast.h"
 
 namespace edc {
-
-struct CostContext {
-  // Host functions returning collections whose size the sandbox caps at
-  // `collection_cap` items (e.g. children, sub_objects).
-  std::set<std::string> collection_functions;
-  int64_t collection_cap = 256;
-  // Element-wise ingest cap on handler arguments and host results; seeds the
-  // analyzer's input string-length intervals (ExecBudget::max_input_bytes).
-  int64_t max_input_bytes = 2048;
-  // Global materialization cap — no value a handler can hold exceeds it
-  // (ExecBudget::max_value_bytes); the analyzer's string-length top.
-  int64_t max_value_bytes = 64 * 1024;
-};
 
 struct CostResult {
   bool bounded = false;
@@ -76,7 +64,9 @@ struct CostResult {
 // Cost bounds saturate here instead of overflowing.
 inline constexpr int64_t kCostCap = INT64_MAX / 4;
 
-CostResult BoundHandlerCost(const Handler& handler, const CostContext& ctx);
+// `ctx` carries the sandbox caps the bounds assume (VerifierConfig::limits
+// and collection_functions, as the analyzer passes them).
+CostResult BoundHandlerCost(const Handler& handler, const DomainContext& ctx);
 
 }  // namespace edc
 

@@ -18,6 +18,7 @@
 
 #include "edc/common/result.h"
 #include "edc/script/ast.h"
+#include "edc/script/sandbox.h"
 
 namespace edc {
 
@@ -34,28 +35,20 @@ struct VerifierConfig {
   // Full callable white list: name -> deterministic. Must include the host
   // (service API) functions the sandbox will expose.
   std::map<std::string, bool> allowed_functions;
-  // Certification threshold for metering elision: a handler whose statically
-  // proven worst-case step bound is <= this is marked certified. Must match
-  // the ExecBudget::max_steps the binding runs with.
-  int64_t certify_max_steps = 100000;
   // Host functions returning collections whose size the sandbox caps at
-  // `max_collection_items` (the cost pass relies on this cap being enforced
-  // at runtime). Since the interval-domain analyzer, the cap also applies to
-  // every builtin that returns a list (split, append, keys, sort_by): the
-  // sandbox aborts the run if a builtin materializes a longer list, which is
-  // what makes `card(split(s, sep)) <= min(len(s)+1, cap)` a sound transfer
-  // function.
+  // limits.max_collection_items (the cost pass relies on this cap being
+  // enforced at runtime). Since the interval-domain analyzer, the cap also
+  // applies to every builtin that returns a list (split, append, keys,
+  // sort_by): the sandbox aborts the run if a builtin materializes a longer
+  // list, which is what makes `card(split(s, sep)) <= min(len(s)+1, cap)` a
+  // sound transfer function.
   std::set<std::string> collection_functions;
-  size_t max_collection_items = 256;
-  // Ingest cap the sandbox applies to handler arguments and host-call
-  // results (element-wise for lists): no admitted value exceeds this
-  // ApproxSize. Seeds the abstract-interpretation layer's input string
-  // lengths, so nested foreach-over-split loops get finite step bounds.
-  // Must match ExecBudget::max_input_bytes at run time.
-  size_t max_input_bytes = 2048;
-  // Largest intermediate value the sandbox admits; the analyzer uses it as
-  // the global string-length top. Must match ExecBudget::max_value_bytes.
-  size_t max_value_bytes = 64 * 1024;
+  // The sandbox bounds the analyses assume: a handler is certified when its
+  // proven worst-case step bound is <= limits.max_steps; max_input_bytes
+  // seeds the input string-length intervals; max_value_bytes is the global
+  // string-length top; max_collection_items caps collection cardinality.
+  // Bindings set this to the ExtensionLimits they run with.
+  ExtensionLimits limits;
   // Host functions with no replicated-state effects; empty = use the
   // analyzer's default set (see DefaultReadOnlyFunctions()).
   std::set<std::string> read_only_functions;

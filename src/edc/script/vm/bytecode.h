@@ -1,24 +1,19 @@
-// Register bytecode for certified CoordScript handlers (ROADMAP item 3).
+// Register bytecode for CoordScript handlers: the one engine every
+// extension handler runs on. Every handler is compiled once, at
+// registration, and runs on a flat register machine on the hot path. The
+// language semantics it implements are pinned by a tree-walking reference
+// interpreter kept as a test oracle (tests/script/oracle/):
 //
-// The tree-walking interpreter pays a virtual-dispatch + scope-map toll on
-// every AST node; for handlers the static analyzer has *certified* (proven
-// worst-case step bound within the execution budget, docs/static_analysis.md)
-// we can afford a one-time compile at registration and run a flat register
-// machine on the hot path instead. The contract that makes the swap safe:
-//
-//   * Step accounting is instruction-for-instruction identical to the
-//     interpreter. Every instruction carries the number of ExecBudget steps
-//     the interpreter would have charged by the time it reaches the same
-//     point (its own AST node plus any parent nodes folded into it), charged
-//     *before* the instruction executes — so steps_used agrees with the
-//     interpreter at every observable exit: normal return, runtime error,
-//     value-size abort. Replica digests and simulated timing cannot move.
+//   * Step accounting: the language charges one step per statement executed
+//     and one per expression node evaluated. Every instruction carries the
+//     steps of its own node plus any nodes folded into it, charged *before*
+//     the instruction executes, and the source line of each of those charges
+//     (CompiledHandler::step_lines). So steps_used agrees with the reference
+//     at every observable exit — normal return, runtime error, value-size
+//     abort, and a step-limit trip, which reports the exact node the budget
+//     ran out on. Replica digests and simulated timing cannot move.
 //   * Error Status codes, messages and line attribution replicate the
-//     interpreter byte for byte.
-//   * Anything the compiler cannot lower faithfully (e.g. a variable the
-//     scoping pass could not resolve) simply fails to compile; the binding
-//     falls back to the interpreter. Compilation is an optimization, never a
-//     semantic fork.
+//     reference byte for byte.
 //
 // See docs/bytecode_vm.md for the instruction-set walkthrough and the
 // step-accounting equivalence argument.
@@ -39,16 +34,16 @@ enum class OpCode : uint8_t {
   // dst = constants[aux]
   kLoadConst,
   // dst = constants[aux], then value-size check (a folded expression whose
-  // interpreter counterpart ran CheckSize: string concat / list literal).
+  // evaluation ends in a size check: string concat / list literal).
   kLoadConstChecked,
   // dst = reg[a]  (variable reads; charges the kVar node's step)
   kMove,
   // dst = -reg[a] (unsigned-wrap negation; type-checked) / !Truthy(reg[a])
   kNeg,
   kNot,
-  // dst = reg[a] <op> reg[b], with the interpreter's exact type checks,
+  // dst = reg[a] <op> reg[b], with the language's exact type checks,
   // wrap-around arithmetic and division/modulo guards. kAdd also handles
-  // string concatenation (+ size check), mirroring EvalBinary.
+  // string concatenation (+ size check).
   kAdd,
   kSub,
   kMul,
@@ -68,7 +63,7 @@ enum class OpCode : uint8_t {
   kJumpIfFalse,
   // if Truthy(reg[a]) pc = aux
   kJumpIfTrue,
-  // dst = reg[a][reg[b]] (list / map / string indexing, interpreter checks)
+  // dst = reg[a][reg[b]] (list / map / string indexing, with bounds checks)
   kIndex,
   // dst = list(reg[a] .. reg[a + b - 1]), then value-size check
   kMakeList,
@@ -81,9 +76,6 @@ enum class OpCode : uint8_t {
   // foreach header: type-check reg[a] as a list and snapshot it into
   // iterator slot b (cached data pointer + length; the snapshot keeps the
   // shared list alive even if the body rebinds the source variable).
-  // aux carries the compile-time iteration bound (0 = unproven): the length
-  // of a literal list, or the analyzer's collection cap for capped host
-  // collection functions — certified handlers never iterate past it.
   kIterInit,
   // As kIterInit but the compiler proved reg[a] is a list (it was built by a
   // list literal), so the runtime type check is elided.
@@ -100,8 +92,8 @@ struct Instruction {
   uint16_t dst = 0;
   uint16_t a = 0;
   uint16_t b = 0;
-  uint32_t aux = 0;    // constant index / jump target / builtin index / bound
-  uint32_t steps = 0;  // ExecBudget steps charged before executing
+  uint32_t aux = 0;    // constant index / jump target / builtin / host name
+  uint32_t steps = 0;  // execution steps charged before executing
   int32_t line = 0;    // source line for error attribution
 };
 
@@ -113,12 +105,13 @@ struct CompiledHandler {
   std::vector<Instruction> code;
   std::vector<Value> constants;
   std::vector<std::string> host_names;  // kCallHost targets, by aux index
-  int64_t step_bound = 0;               // analyzer-proven worst case
+  // Source line of every step charge, in charge order: instruction pc's
+  // code[pc].steps charges follow those of code[0..pc). Read only when the
+  // step limit trips, to report the line of the node the budget ran out on.
+  std::vector<int32_t> step_lines;
 };
 
-// All handlers of one extension that compiled successfully. Handlers that
-// were not certified (or hit an unsupported construct) are simply absent and
-// keep running through the interpreter.
+// Every handler of one extension, compiled at registration.
 struct CompiledModule {
   std::map<std::string, CompiledHandler> handlers;
 

@@ -1,7 +1,10 @@
 #include "edc/script/vm/compiler.h"
 
 #include <cstdint>
+#include <initializer_list>
+#include <map>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -11,43 +14,53 @@ namespace edc {
 
 namespace {
 
-// Result of folding a pure literal subtree. `steps` is the number of
-// ExecBudget steps the interpreter charges to evaluate the subtree — the
-// *dynamic* count, so a short-circuited right operand contributes nothing.
-// `checked` marks values the interpreter passes through CheckSize (string
+// Result of folding a pure literal subtree. `lines` holds the source line of
+// every step the subtree charges, in evaluation (pre-)order — the *dynamic*
+// charges, so a short-circuited right operand contributes nothing.
+// `checked` marks values whose evaluation ends in a value-size check (string
 // concatenation, list literals); such folds must re-run the size check at
-// runtime against the actual budget, and are not reusable as operands of a
+// runtime against the actual limit, and are not reusable as operands of a
 // further fold (an enclosing fold would skip their check point, diverging
 // under a small max_value_bytes).
 struct Fold {
   Value value;
-  uint32_t steps = 0;
+  std::vector<int32_t> lines;
   bool checked = false;
 };
+
+// Fold of `expr` to `value`: charges expr's own step, then its folded parts'.
+Fold Folded(const Expr& expr, Value value, std::initializer_list<const Fold*> parts,
+            bool checked = false) {
+  Fold out{std::move(value), {expr.line}, checked};
+  for (const Fold* part : parts) {
+    out.lines.insert(out.lines.end(), part->lines.begin(), part->lines.end());
+  }
+  return out;
+}
 
 std::optional<Fold> TryFold(const Expr& expr) {
   switch (expr.kind) {
     case Expr::Kind::kLiteral:
-      return Fold{expr.literal, 1, false};
+      return Folded(expr, expr.literal, {});
     case Expr::Kind::kUnary: {
       auto v = TryFold(*expr.lhs);
       if (!v || v->checked) {
         return std::nullopt;
       }
       if (expr.unary_op == UnaryOp::kNot) {
-        return Fold{Value(!v->value.Truthy()), 1 + v->steps, false};
+        return Folded(expr, Value(!v->value.Truthy()), {&*v});
       }
       if (!v->value.is_int()) {
         return std::nullopt;  // runtime type error; leave it to execution
       }
-      return Fold{Value(static_cast<int64_t>(
-                      0 - static_cast<uint64_t>(v->value.AsInt()))),
-                  1 + v->steps, false};
+      return Folded(expr,
+                    Value(static_cast<int64_t>(0 - static_cast<uint64_t>(v->value.AsInt()))),
+                    {&*v});
     }
     case Expr::Kind::kBinary: {
       // Short-circuit operators fold even with an unfoldable right operand
-      // when the left decides the result — mirroring the interpreter, the
-      // right side then contributes no steps.
+      // when the left decides the result — the right side then is never
+      // evaluated and contributes no steps.
       if (expr.binary_op == BinaryOp::kAnd || expr.binary_op == BinaryOp::kOr) {
         auto l = TryFold(*expr.lhs);
         if (!l || l->checked) {
@@ -55,16 +68,16 @@ std::optional<Fold> TryFold(const Expr& expr) {
         }
         bool lt = l->value.Truthy();
         if (expr.binary_op == BinaryOp::kAnd && !lt) {
-          return Fold{Value(false), 1 + l->steps, false};
+          return Folded(expr, Value(false), {&*l});
         }
         if (expr.binary_op == BinaryOp::kOr && lt) {
-          return Fold{Value(true), 1 + l->steps, false};
+          return Folded(expr, Value(true), {&*l});
         }
         auto r = TryFold(*expr.rhs);
         if (!r || r->checked) {
           return std::nullopt;
         }
-        return Fold{Value(r->value.Truthy()), 1 + l->steps + r->steps, false};
+        return Folded(expr, Value(r->value.Truthy()), {&*l, &*r});
       }
       auto l = TryFold(*expr.lhs);
       auto r = TryFold(*expr.rhs);
@@ -73,16 +86,17 @@ std::optional<Fold> TryFold(const Expr& expr) {
       }
       const Value& a = l->value;
       const Value& b = r->value;
-      uint32_t steps = 1 + l->steps + r->steps;
       switch (expr.binary_op) {
         case BinaryOp::kAdd:
           if (a.is_str() || b.is_str()) {
-            return Fold{Value(a.ToString() + b.ToString()), steps, true};
+            return Folded(expr, Value(a.ToString() + b.ToString()), {&*l, &*r},
+                          /*checked=*/true);
           }
           if (a.is_int() && b.is_int()) {
-            return Fold{Value(static_cast<int64_t>(static_cast<uint64_t>(a.AsInt()) +
-                                                   static_cast<uint64_t>(b.AsInt()))),
-                        steps, false};
+            return Folded(expr,
+                          Value(static_cast<int64_t>(static_cast<uint64_t>(a.AsInt()) +
+                                                     static_cast<uint64_t>(b.AsInt()))),
+                          {&*l, &*r});
           }
           return std::nullopt;
         case BinaryOp::kSub:
@@ -95,23 +109,25 @@ std::optional<Fold> TryFold(const Expr& expr) {
           uint64_t ua = static_cast<uint64_t>(a.AsInt());
           uint64_t ub = static_cast<uint64_t>(b.AsInt());
           if (expr.binary_op == BinaryOp::kSub) {
-            return Fold{Value(static_cast<int64_t>(ua - ub)), steps, false};
+            return Folded(expr, Value(static_cast<int64_t>(ua - ub)), {&*l, &*r});
           }
           if (expr.binary_op == BinaryOp::kMul) {
-            return Fold{Value(static_cast<int64_t>(ua * ub)), steps, false};
+            return Folded(expr, Value(static_cast<int64_t>(ua * ub)), {&*l, &*r});
           }
-          // Division / modulo: fold only when the interpreter would succeed.
+          // Division / modulo: fold only when evaluation would succeed (the
+          // error paths stay runtime errors).
           if (b.AsInt() == 0 || (a.AsInt() == INT64_MIN && b.AsInt() == -1)) {
             return std::nullopt;
           }
-          return Fold{Value(expr.binary_op == BinaryOp::kDiv ? a.AsInt() / b.AsInt()
-                                                             : a.AsInt() % b.AsInt()),
-                      steps, false};
+          return Folded(expr,
+                        Value(expr.binary_op == BinaryOp::kDiv ? a.AsInt() / b.AsInt()
+                                                               : a.AsInt() % b.AsInt()),
+                        {&*l, &*r});
         }
         case BinaryOp::kEq:
-          return Fold{Value(a.Equals(b)), steps, false};
+          return Folded(expr, Value(a.Equals(b)), {&*l, &*r});
         case BinaryOp::kNe:
-          return Fold{Value(!a.Equals(b)), steps, false};
+          return Folded(expr, Value(!a.Equals(b)), {&*l, &*r});
         case BinaryOp::kLt:
         case BinaryOp::kLe:
         case BinaryOp::kGt:
@@ -129,25 +145,31 @@ std::optional<Fold> TryFold(const Expr& expr) {
                      : expr.binary_op == BinaryOp::kLe ? cmp <= 0
                      : expr.binary_op == BinaryOp::kGt ? cmp > 0
                                                        : cmp >= 0;
-          return Fold{Value(out), steps, false};
+          return Folded(expr, Value(out), {&*l, &*r});
         }
         default:
           return std::nullopt;
       }
     }
     case Expr::Kind::kListLit: {
-      uint32_t steps = 1;
-      ValueList items;
-      items.reserve(expr.args.size());
+      std::vector<Fold> parts;
+      parts.reserve(expr.args.size());
       for (const ExprPtr& item : expr.args) {
         auto v = TryFold(*item);
         if (!v || v->checked) {
           return std::nullopt;
         }
-        steps += v->steps;
-        items.push_back(v->value);
+        parts.push_back(std::move(*v));
       }
-      return Fold{Value::List(std::move(items)), steps, true};
+      ValueList items;
+      items.reserve(parts.size());
+      Fold out = Folded(expr, Value(), {}, /*checked=*/true);
+      for (Fold& part : parts) {
+        items.push_back(std::move(part.value));
+        out.lines.insert(out.lines.end(), part.lines.begin(), part.lines.end());
+      }
+      out.value = Value::List(std::move(items));
+      return out;
     }
     default:
       return std::nullopt;
@@ -156,12 +178,9 @@ std::optional<Fold> TryFold(const Expr& expr) {
 
 class HandlerCompiler {
  public:
-  explicit HandlerCompiler(const CompileOptions& options) : options_(options) {}
-
-  bool Compile(const Handler& handler, int64_t step_bound, CompiledHandler* out) {
+  bool Compile(const Handler& handler, CompiledHandler* out) {
     out_ = out;
     out_->name = handler.name;
-    out_->step_bound = step_bound;
     out_->num_params = static_cast<uint16_t>(handler.params.size());
     scopes_.clear();
     scopes_.emplace_back();
@@ -169,8 +188,7 @@ class HandlerCompiler {
       scopes_.back()[param] = Alloc();
     }
     CompileBlock(handler.body);
-    // Falling off the end returns null without charging a step (Invoke's
-    // kNormal flow).
+    // Falling off the end returns null without charging a step.
     Emit(OpCode::kReturnNull, 0, 0, 0, 0, handler.line);
     out_->num_registers = max_reg_;
     out_->num_iter_slots = max_iter_;
@@ -192,24 +210,29 @@ class HandlerCompiler {
     return r;
   }
 
-  // Emits with the accumulated pending step charge folded in. Charges always
-  // land on the earliest instruction executed at or after the corresponding
-  // interpreter StepOk() call; nothing observable (an abort, or Invoke
-  // returning) can occur in between, so steps_used agrees with the
-  // interpreter at every exit from the handler.
-  Instruction* Emit(OpCode op, uint16_t dst, uint16_t a, uint16_t b, uint32_t aux,
-                    int line) {
+  // Queues one step charge (a statement or expression node entered at
+  // `line`) for the next emitted instruction.
+  void Charge(int line) { pending_lines_.push_back(line); }
+
+  // Emits with the queued step charges folded in. A charge always lands on
+  // the earliest instruction executed at or after the point where the
+  // reference semantics charges it (one step per statement and per
+  // expression node, in evaluation order); nothing observable (an abort, a
+  // host call, or the handler returning) can occur in between, so steps_used
+  // and the step-limit trip point agree with the reference at every exit.
+  void Emit(OpCode op, uint16_t dst, uint16_t a, uint16_t b, uint32_t aux, int line) {
     Instruction insn;
     insn.op = op;
     insn.dst = dst;
     insn.a = a;
     insn.b = b;
     insn.aux = aux;
-    insn.steps = pending_;
+    insn.steps = static_cast<uint32_t>(pending_lines_.size());
     insn.line = line;
-    pending_ = 0;
+    out_->step_lines.insert(out_->step_lines.end(), pending_lines_.begin(),
+                            pending_lines_.end());
+    pending_lines_.clear();
     out_->code.push_back(insn);
-    return &out_->code.back();
   }
 
   uint32_t Here() const { return static_cast<uint32_t>(out_->code.size()); }
@@ -246,7 +269,7 @@ class HandlerCompiler {
 
   void CompileStmt(const Stmt& stmt) {
     uint16_t saved = next_reg_;
-    pending_ += 1;  // the interpreter's per-statement StepOk()
+    Charge(stmt.line);  // every statement costs one step
     switch (stmt.kind) {
       case Stmt::Kind::kLet: {
         auto it = scopes_.back().find(stmt.name);
@@ -265,9 +288,8 @@ class HandlerCompiler {
       case Stmt::Kind::kAssign: {
         const uint16_t* dst = FindVar(stmt.name);
         if (dst == nullptr) {
-          // The interpreter reports this lazily at runtime (only if the
-          // statement executes); refuse to compile rather than change when
-          // the error surfaces.
+          // Undeclared assignment target (the analyzer's EDC-E010): refuse
+          // to compile rather than guess a binding.
           ok_ = false;
           return;
         }
@@ -314,23 +336,6 @@ class HandlerCompiler {
     next_reg_ = saved;
   }
 
-  // Static iteration bound for a foreach source, mirroring the cost pass's
-  // certified assumptions: exact length for list literals, the sandbox's
-  // collection cap for capped host functions. 0 = unproven (annotation only;
-  // the VM's iteration is bounds-checked against the actual list either way).
-  uint32_t StaticLoopBound(const Expr& expr) const {
-    if (expr.kind == Expr::Kind::kListLit) {
-      return static_cast<uint32_t>(expr.args.size());
-    }
-    if (expr.kind == Expr::Kind::kCall &&
-        options_.collection_functions.count(expr.name) > 0 &&
-        options_.max_collection_items > 0 &&
-        options_.max_collection_items <= INT32_MAX) {
-      return static_cast<uint32_t>(options_.max_collection_items);
-    }
-    return 0;
-  }
-
   void CompileForEach(const Stmt& stmt) {
     uint16_t saved = next_reg_;
     uint16_t list = CompileOperand(*stmt.expr);
@@ -345,8 +350,8 @@ class HandlerCompiler {
     // A list literal (folded or built by kMakeList) is a list by
     // construction: elide the runtime type check.
     bool proven_list = stmt.expr->kind == Expr::Kind::kListLit;
-    Emit(proven_list ? OpCode::kIterInitList : OpCode::kIterInit, 0, list, slot,
-         StaticLoopBound(*stmt.expr), stmt.line);
+    Emit(proven_list ? OpCode::kIterInitList : OpCode::kIterInit, 0, list, slot, 0,
+         stmt.line);
     next_reg_ = saved;  // the source temp is snapshotted into the slot
 
     uint16_t loop_var = Alloc();
@@ -373,7 +378,7 @@ class HandlerCompiler {
     if (expr.kind == Expr::Kind::kVar) {
       const uint16_t* reg = FindVar(expr.name);
       if (reg != nullptr) {
-        pending_ += 1;
+        Charge(expr.line);
         return *reg;
       }
       ok_ = false;
@@ -400,16 +405,16 @@ class HandlerCompiler {
       return;
     }
     if (auto fold = TryFold(*expr)) {
+      pending_lines_.insert(pending_lines_.end(), fold->lines.begin(), fold->lines.end());
       Emit(fold->checked ? OpCode::kLoadConstChecked : OpCode::kLoadConst, dst, 0, 0,
-           AddConst(std::move(fold->value)), expr->line)
-          ->steps += fold->steps;
+           AddConst(std::move(fold->value)), expr->line);
       return;
     }
     switch (expr->kind) {
       case Expr::Kind::kLiteral:
         // Handled by TryFold; kept as a safety net.
-        Emit(OpCode::kLoadConst, dst, 0, 0, AddConst(expr->literal), expr->line)
-            ->steps += 1;
+        Charge(expr->line);
+        Emit(OpCode::kLoadConst, dst, 0, 0, AddConst(expr->literal), expr->line);
         return;
       case Expr::Kind::kVar: {
         const uint16_t* reg = FindVar(expr->name);
@@ -417,11 +422,12 @@ class HandlerCompiler {
           ok_ = false;
           return;
         }
-        Emit(OpCode::kMove, dst, *reg, 0, 0, expr->line)->steps += 1;
+        Charge(expr->line);
+        Emit(OpCode::kMove, dst, *reg, 0, 0, expr->line);
         return;
       }
       case Expr::Kind::kUnary: {
-        pending_ += 1;
+        Charge(expr->line);
         uint16_t v = CompileOperand(*expr->lhs);
         Emit(expr->unary_op == UnaryOp::kNot ? OpCode::kNot : OpCode::kNeg, dst, v, 0,
              0, expr->line);
@@ -431,14 +437,14 @@ class HandlerCompiler {
         CompileBinaryInto(*expr, dst);
         return;
       case Expr::Kind::kIndex: {
-        pending_ += 1;
+        Charge(expr->line);
         uint16_t base = CompileOperand(*expr->lhs);
         uint16_t idx = CompileOperand(*expr->rhs);
         Emit(OpCode::kIndex, dst, base, idx, 0, expr->line);
         return;
       }
       case Expr::Kind::kCall: {
-        pending_ += 1;
+        Charge(expr->line);
         // Arguments live in a contiguous temp block so the VM can move them
         // straight into the callee's argument vector.
         uint16_t base = next_reg_;
@@ -459,7 +465,7 @@ class HandlerCompiler {
         return;
       }
       case Expr::Kind::kListLit: {
-        pending_ += 1;
+        Charge(expr->line);
         uint16_t base = next_reg_;
         for (const ExprPtr& item : expr->args) {
           uint16_t t = Alloc();
@@ -474,7 +480,7 @@ class HandlerCompiler {
   }
 
   void CompileBinaryInto(const Expr& expr, uint16_t dst) {
-    pending_ += 1;
+    Charge(expr.line);
     if (expr.binary_op == BinaryOp::kAnd || expr.binary_op == BinaryOp::kOr) {
       bool is_and = expr.binary_op == BinaryOp::kAnd;
       uint16_t l = CompileOperand(*expr.lhs);
@@ -534,38 +540,32 @@ class HandlerCompiler {
     Emit(op, dst, l, r, 0, expr.line);
   }
 
-  const CompileOptions& options_;
   CompiledHandler* out_ = nullptr;
   std::vector<std::map<std::string, uint16_t>> scopes_;
   uint16_t next_reg_ = 0;
   uint16_t max_reg_ = 0;
   uint16_t next_iter_ = 0;
   uint16_t max_iter_ = 0;
-  uint32_t pending_ = 0;
+  std::vector<int32_t> pending_lines_;
   bool ok_ = true;
 };
 
 }  // namespace
 
-bool CompileHandler(const Handler& handler, const CompileOptions& options,
-                    int64_t step_bound, CompiledHandler* out) {
-  HandlerCompiler compiler(options);
-  return compiler.Compile(handler, step_bound, out);
+bool CompileHandler(const Handler& handler, CompiledHandler* out) {
+  HandlerCompiler compiler;
+  return compiler.Compile(handler, out);
 }
 
-CompiledModule CompileProgram(const Program& program,
-                              const std::map<std::string, HandlerReport>& reports,
-                              const CompileOptions& options) {
+Result<CompiledModule> CompileProgram(const Program& program) {
   CompiledModule module;
   for (const auto& [name, handler] : program.handlers) {
-    auto report = reports.find(name);
-    if (report == reports.end() || !report->second.certified) {
-      continue;
-    }
     CompiledHandler compiled;
-    if (CompileHandler(handler, options, report->second.step_bound, &compiled)) {
-      module.handlers.emplace(name, std::move(compiled));
+    if (!CompileHandler(handler, &compiled)) {
+      return Status(ErrorCode::kExtensionRejected,
+                    "handler '" + name + "' does not compile to bytecode");
     }
+    module.handlers.emplace(name, std::move(compiled));
   }
   return module;
 }

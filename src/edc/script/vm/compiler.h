@@ -1,55 +1,37 @@
-// AST -> register bytecode compiler for certified CoordScript handlers.
+// AST -> register bytecode compiler for CoordScript handlers.
 //
 // Lowering performed here (docs/bytecode_vm.md):
 //   * static scope resolution — every variable becomes a register; shadowing
-//     and block lifetimes mirror the interpreter's scope stack exactly
-//   * constant folding of pure literal subtrees, carrying the interpreter's
-//     dynamic step count for the folded nodes (short-circuit aware) so
+//     and block lifetimes mirror the tree-walking reference semantics exactly
+//   * constant folding of pure literal subtrees, carrying the dynamic step
+//     count (and source line) of every folded node, short-circuit aware, so
 //     accounting is unchanged
 //   * builtin calls resolved to BuiltinsByIndex() indices at compile time
 //   * short-circuit && / || lowered to conditional jumps
-//   * foreach lowered to cached-iterator instructions, annotated with the
-//     loop bound the analyzer proved (literal list length or the sandbox's
-//     collection cap) and type-check-free when the source is a list literal
+//   * foreach lowered to cached-iterator instructions, type-check-free when
+//     the source is a list literal
 //
-// The compiler refuses anything it cannot lower with bit-identical semantics
-// and step accounting (e.g. a variable the scoping passes could not resolve,
-// which the interpreter reports lazily at runtime): the handler is then
-// simply absent from the CompiledModule and the binding keeps interpreting
-// it. Compilation never changes behavior, only speed.
+// Every handler that passes the analyzer compiles: the one construct the
+// compiler cannot lower (a variable no scope declares) is the analyzer's
+// EDC-E010/E011 error, which rejects the extension first.
 
 #ifndef EDC_SCRIPT_VM_COMPILER_H_
 #define EDC_SCRIPT_VM_COMPILER_H_
 
-#include <cstdint>
-#include <map>
-#include <set>
-#include <string>
-
-#include "edc/script/analysis/analyzer.h"
+#include "edc/common/result.h"
 #include "edc/script/ast.h"
 #include "edc/script/vm/bytecode.h"
 
 namespace edc {
 
-struct CompileOptions {
-  // Host functions whose result size the sandbox caps (children,
-  // sub_objects, ...): feeds the foreach loop-bound annotation.
-  std::set<std::string> collection_functions;
-  int64_t max_collection_items = 256;
-};
+// Compiles one handler. Returns false (leaving *out unspecified) if a
+// variable cannot be resolved or the handler needs more than 65535
+// registers.
+bool CompileHandler(const Handler& handler, CompiledHandler* out);
 
-// Compiles one handler. Returns false (leaving *out unspecified) on any
-// construct the compiler cannot lower faithfully.
-bool CompileHandler(const Handler& handler, const CompileOptions& options,
-                    int64_t step_bound, CompiledHandler* out);
-
-// Compiles every handler the analyzer certified (reports[name].certified).
-// Handlers that are uncertified or fail to compile are absent from the
-// returned module and fall back to the interpreter.
-CompiledModule CompileProgram(const Program& program,
-                              const std::map<std::string, HandlerReport>& reports,
-                              const CompileOptions& options);
+// Compiles every handler of `program`. kExtensionRejected names the first
+// handler that does not compile.
+Result<CompiledModule> CompileProgram(const Program& program);
 
 }  // namespace edc
 

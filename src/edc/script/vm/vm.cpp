@@ -1,5 +1,6 @@
 #include "edc/script/vm/vm.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 
@@ -38,7 +39,27 @@ Result<Value> Vm::Invoke(const std::string& name, std::vector<Value> args) {
   return Run(*handler, std::move(args));
 }
 
+Status Vm::StepLimitExceeded(const CompiledHandler& handler, uint32_t pc,
+                             int64_t max_steps) {
+  // The limit is crossed by charge number max_steps + 1; within this
+  // instruction that is charge `k` (0-based) of its code[pc].steps.
+  int64_t before = stats_.steps_used - handler.code[pc].steps;
+  int64_t k = max_steps - before;
+  size_t first = 0;
+  for (uint32_t i = 0; i < pc; ++i) {
+    first += handler.code[i].steps;
+  }
+  stats_.steps_used = max_steps + 1;
+  return LimitError(handler.step_lines[first + static_cast<size_t>(k)],
+                    "step budget exceeded");
+}
+
 Result<Value> Vm::Run(const CompiledHandler& handler, std::vector<Value> args) {
+  // A negative limit behaves exactly like 0: the first charge trips it. The
+  // clamp keeps a zero-charge instruction (an empty handler's return) from
+  // tripping before any step was charged.
+  const int64_t max_steps = std::max<int64_t>(limits_.max_steps, 0);
+  stats_ = ExecStats{};
   std::vector<Value> regs(handler.num_registers);
   for (size_t i = 0; i < handler.num_params; ++i) {
     regs[i] = i < args.size() ? std::move(args[i]) : Value();
@@ -49,10 +70,8 @@ Result<Value> Vm::Run(const CompiledHandler& handler, std::vector<Value> args) {
   for (uint32_t pc = 0;; ++pc) {
     const Instruction& insn = code[pc];
     stats_.steps_used += insn.steps;
-    if (budget_.metered && stats_.steps_used > budget_.max_steps) {
-      // Unreachable for certified handlers (proven bound <= max_steps);
-      // kept as defense in depth.
-      return LimitError(insn.line, "step budget exceeded");
+    if (stats_.steps_used > max_steps) {
+      return StepLimitExceeded(handler, pc, max_steps);
     }
     switch (insn.op) {
       case OpCode::kLoadConst:
@@ -60,7 +79,7 @@ Result<Value> Vm::Run(const CompiledHandler& handler, std::vector<Value> args) {
         break;
       case OpCode::kLoadConstChecked: {
         const Value& v = handler.constants[insn.aux];
-        if (v.ApproxSize() > budget_.max_value_bytes) {
+        if (v.ApproxSize() > limits_.max_value_bytes) {
           return LimitError(insn.line, "value size limit exceeded");
         }
         regs[insn.dst] = v;
@@ -88,7 +107,7 @@ Result<Value> Vm::Run(const CompiledHandler& handler, std::vector<Value> args) {
         const Value& b = regs[insn.b];
         if (a.is_str() || b.is_str()) {
           Value out(a.ToString() + b.ToString());
-          if (out.ApproxSize() > budget_.max_value_bytes) {
+          if (out.ApproxSize() > limits_.max_value_bytes) {
             return LimitError(insn.line, "value size limit exceeded");
           }
           regs[insn.dst] = std::move(out);
@@ -230,7 +249,7 @@ Result<Value> Vm::Run(const CompiledHandler& handler, std::vector<Value> args) {
           items.push_back(std::move(regs[insn.a + i]));
         }
         Value out = Value::List(std::move(items));
-        if (out.ApproxSize() > budget_.max_value_bytes) {
+        if (out.ApproxSize() > limits_.max_value_bytes) {
           return LimitError(insn.line, "value size limit exceeded");
         }
         regs[insn.dst] = std::move(out);
@@ -256,28 +275,31 @@ Result<Value> Vm::Run(const CompiledHandler& handler, std::vector<Value> args) {
         if (!out.ok()) {
           return out;
         }
-        // Builtin and host results alike obey max_value_bytes, mirroring
-        // the interpreter's EvalCall.
-        if (out->ApproxSize() > budget_.max_value_bytes) {
+        // Builtin and host results alike obey max_value_bytes.
+        if (out->ApproxSize() > limits_.max_value_bytes) {
           return LimitError(insn.line, "value size limit exceeded");
         }
         if (insn.op == OpCode::kCallBuiltin) {
           // Builtin list results obey the collection cap — the runtime
           // contract behind the analyzer's split()/append cardinality
           // transfer functions (analysis/domains.cpp).
-          if (out->is_list() && out->AsList().size() > budget_.max_collection_items) {
+          if (out->is_list() && out->AsList().size() > limits_.max_collection_items) {
             return LimitError(insn.line, "collection size limit exceeded");
           }
         } else {
           // Host results additionally obey the element-wise ingest cap
-          // (max_input_bytes), mirroring Interpreter::CheckHostResult.
+          // (max_input_bytes): list results admit each element up to the
+          // cap (the list itself is governed by max_value_bytes and the
+          // host-side collection cap); any other result must fit entirely.
+          // This is the runtime contract behind the analyzer's input
+          // seeding (docs/static_analysis.md).
           if (out->is_list()) {
             for (const Value& item : out->AsList()) {
-              if (item.ApproxSize() > budget_.max_input_bytes) {
+              if (item.ApproxSize() > limits_.max_input_bytes) {
                 return LimitError(insn.line, "value size limit exceeded");
               }
             }
-          } else if (out->ApproxSize() > budget_.max_input_bytes) {
+          } else if (out->ApproxSize() > limits_.max_input_bytes) {
             return LimitError(insn.line, "value size limit exceeded");
           }
         }

@@ -1,25 +1,25 @@
-// Register-machine executor for compiled CoordScript handlers.
+// Register-machine executor for compiled CoordScript handlers: the sandbox
+// engine every extension handler runs on (paper §4.1.2).
 //
-// Drop-in replacement for the tree-walking Interpreter on certified
-// handlers: same Invoke contract, same ExecStats, byte-identical error
-// Statuses, and steps_used that agrees with the interpreter at every exit
-// (each instruction charges the steps its folded AST nodes would have cost
-// *before* executing — see bytecode.h).
-//
-// The step-limit check is defense in depth only: every handler that reaches
-// the VM was certified by the static analyzer, so its proven worst-case
-// bound fits the budget and the limit cannot fire. (An instruction carrying
-// several folded node charges reports the limit at instruction granularity,
-// which is why uncertified code must not be run metered-to-the-edge here.)
+// Execution is always metered: each instruction charges the steps of the
+// AST nodes it stands for before it executes, and a run that exceeds
+// ExtensionLimits::max_steps stops with kExtensionLimit ("step budget
+// exceeded at line N") and steps_used == max_steps + 1, N being the line of
+// the node the budget ran out on — even inside an instruction that folds
+// several nodes. Oversized intermediate values abort with kExtensionLimit;
+// script-level failures (type errors, error(...), out-of-range access)
+// return kExtensionError. State access goes exclusively through the
+// ScriptHost, which the bindings guard.
 
 #ifndef EDC_SCRIPT_VM_VM_H_
 #define EDC_SCRIPT_VM_VM_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "edc/common/result.h"
-#include "edc/script/interpreter.h"
+#include "edc/script/sandbox.h"
 #include "edc/script/value.h"
 #include "edc/script/vm/bytecode.h"
 
@@ -28,23 +28,27 @@ namespace edc {
 class Vm {
  public:
   // `module` and `host` must outlive the VM.
-  Vm(const CompiledModule* module, ScriptHost* host, ExecBudget budget)
-      : module_(module), host_(host), budget_(budget) {}
+  Vm(const CompiledModule* module, ScriptHost* host, const ExtensionLimits& limits)
+      : module_(module), host_(host), limits_(limits) {}
 
-  // Runs compiled handler `name` with `args` (missing parameters become
-  // null, extra args are dropped), mirroring Interpreter::Invoke.
+  // Runs handler `name` with `args` (missing parameters become null, extra
+  // args are dropped). Returns the handler's return value, or null if it
+  // falls off the end. Each invocation gets the full step budget.
   Result<Value> Invoke(const std::string& name, std::vector<Value> args);
 
-  // Runs an already-resolved handler (the bindings resolve once per dispatch
-  // via CompiledModule::Find and skip the by-name lookup here).
-  Result<Value> Run(const CompiledHandler& handler, std::vector<Value> args);
-
+  // Accounting of the last Invoke.
   const ExecStats& stats() const { return stats_; }
 
  private:
+  Result<Value> Run(const CompiledHandler& handler, std::vector<Value> args);
+  // Cold path: settles steps_used at the exact charge that crossed the limit
+  // inside instruction `pc` and names that charge's source line.
+  Status StepLimitExceeded(const CompiledHandler& handler, uint32_t pc,
+                           int64_t max_steps);
+
   const CompiledModule* module_;
   ScriptHost* host_;
-  ExecBudget budget_;
+  ExtensionLimits limits_;
   ExecStats stats_;
 };
 

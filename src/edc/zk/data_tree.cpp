@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "edc/common/hash.h"
 #include "edc/common/strings.h"
 
 namespace edc {
@@ -237,53 +236,31 @@ Status DataTree::Load(const std::vector<uint8_t>& snapshot) {
   return Status::Ok();
 }
 
-namespace {
-// The frame header matches LogStore's on-disk record layout exactly:
-// u32 payload length + u64 FNV-1a of the payload, both little-endian.
-constexpr size_t kImageHeaderBytes = 12;
-}  // namespace
-
 std::vector<uint8_t> DataTree::SerializeImage() const {
-  std::vector<uint8_t> payload = Serialize();
-  std::vector<uint8_t> image;
-  image.reserve(kImageHeaderBytes + payload.size());
-  uint32_t len = static_cast<uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i) {
-    image.push_back(static_cast<uint8_t>(len >> (8 * i)));
-  }
-  uint64_t sum = Fnv1a64(payload.data(), payload.size());
-  for (int i = 0; i < 8; ++i) {
-    image.push_back(static_cast<uint8_t>(sum >> (8 * i)));
-  }
-  image.insert(image.end(), payload.begin(), payload.end());
-  return image;
+  Encoder enc;
+  PutFramed(enc, Serialize());
+  return enc.Release();
 }
 
 Status DataTree::RestoreImage(const std::vector<uint8_t>& image) {
-  if (image.size() < kImageHeaderBytes) {
-    return Status(ErrorCode::kDecodeError, "snapshot image shorter than header");
+  // A snapshot file is exactly one intact frame: truncation, a checksum
+  // mismatch and trailing garbage are all rejected.
+  Decoder dec(image);
+  std::vector<uint8_t> body;
+  switch (GetFramed(dec, &body)) {
+    case FrameStatus::kTruncated:
+      return Status(ErrorCode::kDecodeError, "snapshot image truncated");
+    case FrameStatus::kCorrupt:
+      return Status(ErrorCode::kDecodeError, "snapshot image checksum mismatch");
+    case FrameStatus::kOk:
+      break;
   }
-  uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) {
-    len |= static_cast<uint32_t>(image[i]) << (8 * i);
-  }
-  uint64_t sum = 0;
-  for (int i = 0; i < 8; ++i) {
-    sum |= static_cast<uint64_t>(image[4 + i]) << (8 * i);
-  }
-  // Truncation (image ends early) and trailing garbage (image longer than the
-  // frame claims) are both rejected: a snapshot file is a single frame.
-  if (image.size() != kImageHeaderBytes + len) {
-    return Status(ErrorCode::kDecodeError, "snapshot image length mismatch");
-  }
-  const uint8_t* payload = image.data() + kImageHeaderBytes;
-  if (Fnv1a64(payload, len) != sum) {
-    return Status(ErrorCode::kDecodeError, "snapshot image checksum mismatch");
+  if (!dec.AtEnd()) {
+    return Status(ErrorCode::kDecodeError, "snapshot image has trailing bytes");
   }
   // Decode into a scratch tree and swap only on full success, so a payload
   // that passes the checksum but fails structural decode never half-applies.
   DataTree scratch;
-  std::vector<uint8_t> body(payload, payload + len);
   if (auto s = scratch.Load(body); !s.ok()) {
     return s;
   }

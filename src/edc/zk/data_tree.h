@@ -60,9 +60,9 @@ class DataTree {
   std::vector<uint8_t> Serialize() const;
   Status Load(const std::vector<uint8_t>& snapshot);
 
-  // Framed snapshot codec for state transfer, using the LogStore's on-disk
-  // record convention: u32 payload length + u64 FNV-1a checksum + payload
-  // (the Serialize() bytes), little-endian. RestoreImage verifies the frame,
+  // Framed snapshot codec for state transfer: one PutFramed frame
+  // (common/codec.h) around the Serialize() bytes — the same framing as the
+  // LogStore's on-disk records. RestoreImage verifies the frame,
   // decodes into a scratch tree and swaps only on full success — a truncated
   // or corrupted image (any byte, any offset) fails with kDecodeError and
   // leaves this tree exactly as it was. Never half-applies.

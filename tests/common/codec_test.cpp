@@ -145,5 +145,68 @@ TEST(CodecTest, FuzzRoundTripRandomSequences) {
   }
 }
 
+// ---- Checksummed frames (PutFramed / GetFramed) ----
+//
+// The one every-byte sweep for the framing the log, the snapshot image and
+// the BFT checkpoint share; their own tests keep only their policies (clean
+// prefix, exactly one frame, reject truncation).
+
+std::vector<uint8_t> FramedPayload() {
+  std::vector<uint8_t> payload;
+  for (int i = 0; i < 40; ++i) {
+    payload.push_back(static_cast<uint8_t>(i * 37 + 11));
+  }
+  return payload;
+}
+
+TEST(FramedCodecTest, RoundTripsBackToBackFrames) {
+  std::vector<uint8_t> payload = FramedPayload();
+  Encoder enc;
+  PutFramed(enc, payload);
+  PutFramed(enc, {});
+  ASSERT_EQ(enc.size(), 2 * kFrameHeaderBytes + payload.size());
+  Decoder dec(enc.buffer());
+  std::vector<uint8_t> out;
+  ASSERT_EQ(GetFramed(dec, &out), FrameStatus::kOk);
+  EXPECT_EQ(out, payload);
+  ASSERT_EQ(GetFramed(dec, &out), FrameStatus::kOk);
+  EXPECT_TRUE(out.empty());
+  EXPECT_TRUE(dec.AtEnd());
+}
+
+TEST(FramedCodecTest, TruncationAtEveryByteIsReportedTruncated) {
+  Encoder enc;
+  PutFramed(enc, FramedPayload());
+  const std::vector<uint8_t>& frame = enc.buffer();
+  for (size_t keep = 0; keep < frame.size(); ++keep) {
+    std::vector<uint8_t> cut(frame.begin(), frame.begin() + static_cast<ptrdiff_t>(keep));
+    Decoder dec(cut);
+    std::vector<uint8_t> out = {0xee};
+    EXPECT_EQ(GetFramed(dec, &out), FrameStatus::kTruncated) << "keep " << keep;
+    EXPECT_EQ(out, std::vector<uint8_t>{0xee}) << "payload written on failure";
+  }
+}
+
+TEST(FramedCodecTest, CorruptionAtEveryByteIsDetected) {
+  Encoder enc;
+  PutFramed(enc, FramedPayload());
+  const std::vector<uint8_t>& frame = enc.buffer();
+  for (size_t at = 0; at < frame.size(); ++at) {
+    std::vector<uint8_t> bad = frame;
+    bad[at] ^= 0x5a;
+    Decoder dec(bad);
+    std::vector<uint8_t> out;
+    FrameStatus status = GetFramed(dec, &out);
+    if (at < 4) {
+      // A damaged length either runs past the buffer or misframes the
+      // payload, which the checksum catches.
+      EXPECT_NE(status, FrameStatus::kOk) << "at " << at;
+    } else {
+      EXPECT_EQ(status, FrameStatus::kCorrupt) << "at " << at;
+    }
+    EXPECT_TRUE(out.empty()) << "payload written on failure at " << at;
+  }
+}
+
 }  // namespace
 }  // namespace edc

@@ -13,7 +13,9 @@
 //    have flagged the program. Divergence with no EDC-E013 is a missed bug.
 //
 // The generator's distribution is checked for non-vacuity: enough certified
-// handlers, enough genuinely divergent programs, enough clean ones.
+// handlers, enough genuinely divergent programs, enough clean ones. The same
+// corpus drives the VM-vs-oracle differential tests, including one at every
+// step budget.
 
 #include <gtest/gtest.h>
 
@@ -22,11 +24,11 @@
 
 #include "edc/common/rng.h"
 #include "edc/script/analysis/analyzer.h"
-#include "edc/script/interpreter.h"
 #include "edc/script/parser.h"
 #include "edc/script/verifier.h"
 #include "edc/script/vm/compiler.h"
 #include "edc/script/vm/vm.h"
+#include "script/oracle/interpreter.h"
 
 namespace edc {
 namespace {
@@ -44,7 +46,7 @@ VerifierConfig CrossValConfig(bool deterministic) {
   cfg.allowed_functions["random"] = false;
   cfg.require_deterministic = deterministic;
   cfg.collection_functions = {"children"};
-  cfg.max_collection_items = kCollectionCap;
+  cfg.limits.max_collection_items = kCollectionCap;
   return cfg;
 }
 
@@ -57,6 +59,7 @@ class CrossValHost : public ScriptHost {
       : now_value_(now_value), rng_(random_seed) {}
 
   const std::vector<std::string>& mutations() const { return mutations_; }
+  const std::vector<std::string>& calls() const { return calls_; }
 
   bool HasFunction(const std::string& name) const override {
     return name == "children" || name == "update" || name == "create" ||
@@ -64,6 +67,11 @@ class CrossValHost : public ScriptHost {
   }
 
   Result<Value> Call(const std::string& name, std::vector<Value>& args) override {
+    std::string entry = name;
+    for (const Value& a : args) {
+      entry += "|" + a.ToString();
+    }
+    calls_.push_back(entry);
     if (name == "now") {
       return Value(now_value_);
     }
@@ -81,10 +89,6 @@ class CrossValHost : public ScriptHost {
     }
     // update / create: replicated-state effects, logged for divergence
     // comparison.
-    std::string entry = name;
-    for (const Value& a : args) {
-      entry += "|" + a.ToString();
-    }
     mutations_.push_back(std::move(entry));
     return Value(true);
   }
@@ -93,6 +97,7 @@ class CrossValHost : public ScriptHost {
   int64_t now_value_;
   Rng rng_;
   std::vector<std::string> mutations_;
+  std::vector<std::string> calls_;  // every host call, for the step sweep
 };
 
 // ---- Random program generation ----
@@ -227,8 +232,9 @@ class ProgramGen {
 
 struct ExecOutcome {
   bool ok = false;
-  std::string result;
+  std::string result;  // rendered value, or Status code + message
   std::vector<std::string> mutations;
+  std::vector<std::string> calls;
   int64_t steps = 0;
 
   bool Diverges(const ExecOutcome& o) const {
@@ -236,41 +242,49 @@ struct ExecOutcome {
   }
 };
 
-ExecOutcome Execute(const Program& program, int64_t now_value, uint64_t random_seed) {
-  CrossValHost host(now_value, random_seed);
-  ExecBudget budget;  // default (generous) metered budget
-  Interpreter interp(&program, &host, budget);
-  auto out = interp.Invoke("read", {Value("/x")});
+ExecOutcome Outcome(const Result<Value>& out, const CrossValHost& host, int64_t steps) {
   ExecOutcome o;
   o.ok = out.ok();
   o.result = out.ok() ? out->ToString() : out.status().ToString();
   o.mutations = host.mutations();
-  o.steps = interp.stats().steps_used;
+  o.calls = host.calls();
+  o.steps = steps;
   return o;
 }
 
-// Bytecode-VM twin of Execute(): compiles `read` directly (certification is a
-// dispatch policy, not a compilability requirement) and runs it on the VM.
-// Returns false if the handler does not compile.
-bool ExecuteVm(const Program& program, int64_t now_value, uint64_t random_seed,
-               ExecOutcome* o) {
-  CompileOptions opts;
-  opts.collection_functions = {"children"};
-  opts.max_collection_items = kCollectionCap;
-  CompiledModule module;
-  CompiledHandler compiled;
-  if (!CompileHandler(program.handlers.at("read"), opts, 0, &compiled)) {
-    return false;
-  }
-  module.handlers.emplace("read", std::move(compiled));
+// Runs `read` on the reference interpreter (the oracle).
+ExecOutcome Execute(const Program& program, int64_t now_value, uint64_t random_seed,
+                    const ExtensionLimits& limits = ExtensionLimits{}) {
   CrossValHost host(now_value, random_seed);
-  Vm vm(&module, &host, ExecBudget{});
+  Interpreter interp(&program, &host, limits);
+  auto out = interp.Invoke("read", {Value("/x")});
+  return Outcome(out, host, interp.stats().steps_used);
+}
+
+// Compiles the program the way ExtensionRegistry::Load does.
+CompiledModule CompileCrossVal(const Program& program) {
+  auto module = CompileProgram(program);
+  EXPECT_TRUE(module.ok()) << module.status().ToString();
+  return module.ok() ? std::move(*module) : CompiledModule{};
+}
+
+// Bytecode-VM twin of Execute().
+ExecOutcome ExecuteVm(const CompiledModule& module, int64_t now_value,
+                      uint64_t random_seed,
+                      const ExtensionLimits& limits = ExtensionLimits{}) {
+  CrossValHost host(now_value, random_seed);
+  Vm vm(&module, &host, limits);
   auto out = vm.Invoke("read", {Value("/x")});
-  o->ok = out.ok();
-  o->result = out.ok() ? out->ToString() : out.status().ToString();
-  o->mutations = host.mutations();
-  o->steps = vm.stats().steps_used;
-  return true;
+  return Outcome(out, host, vm.stats().steps_used);
+}
+
+void ExpectSameOutcome(const ExecOutcome& a, const ExecOutcome& b,
+                       const std::string& what) {
+  EXPECT_EQ(a.ok, b.ok) << what;
+  EXPECT_EQ(a.result, b.result) << what;
+  EXPECT_EQ(a.mutations, b.mutations) << what;
+  EXPECT_EQ(a.calls, b.calls) << what;
+  EXPECT_EQ(a.steps, b.steps) << "step accounting diverged\n" << what;
 }
 
 TEST(AnalysisCrossValTest, CertifiedBoundsAreSoundAndDivergenceIsFlagged) {
@@ -329,59 +343,52 @@ TEST(AnalysisCrossValTest, CertifiedBoundsAreSoundAndDivergenceIsFlagged) {
 
 // The compiled engine must be observationally identical to the tree walker on
 // the full generated corpus: same outcome, same rendered result/error, same
-// mutation log, and — load-bearing for replica digests — the same steps_used.
-// The generator covers folding-heavy arithmetic, shadowing, nested control
-// flow, host mutations and nondeterministic calls, so this is the volume
-// backstop behind the hand-written parity cases in vm_test.cpp.
+// mutation log and host-call trace, and — load-bearing for replica digests —
+// the same steps_used. The generator covers folding-heavy arithmetic,
+// shadowing, nested control flow, host mutations and nondeterministic calls,
+// so this is the volume backstop behind the hand-written parity cases in
+// vm_test.cpp. The generator only emits resolvable variables, so every
+// program must compile.
 TEST(AnalysisCrossValTest, VmMatchesInterpreterOnGeneratedCorpus) {
-  int compiled = 0;
   for (uint64_t seed = 1; seed <= kNumSeeds; ++seed) {
     ProgramGen gen(seed);
     std::string src = gen.Generate();
     auto program = ParseProgram(src);
     ASSERT_TRUE(program.ok()) << "seed " << seed;
-
-    ExecOutcome vm_run;
-    if (!ExecuteVm(**program, 1000, 1, &vm_run)) {
-      continue;  // compiler refused: interpreter fallback, nothing to diff
-    }
-    ++compiled;
-    ExecOutcome interp_run = Execute(**program, 1000, 1);
-    EXPECT_EQ(interp_run.ok, vm_run.ok) << "seed " << seed << "\n" << src;
-    EXPECT_EQ(interp_run.result, vm_run.result) << "seed " << seed << "\n" << src;
-    EXPECT_EQ(interp_run.mutations, vm_run.mutations) << "seed " << seed << "\n" << src;
-    EXPECT_EQ(interp_run.steps, vm_run.steps)
-        << "seed " << seed << ": step accounting diverged\n" << src;
+    CompiledModule module = CompileCrossVal(**program);
+    ExpectSameOutcome(Execute(**program, 1000, 1), ExecuteVm(module, 1000, 1),
+                      "seed " + std::to_string(seed) + "\n" + src);
   }
-  // The generator only emits resolvable variables, so every program must
-  // lower — a fallback here means the compiler lost coverage.
-  EXPECT_EQ(compiled, kNumSeeds);
 }
 
-// Certified handlers run with metering elided must leave behind the same
-// steps_used as fully metered runs — elision can never shift the execution
-// cost model (and with it, simulated timing or replica digests).
-TEST(AnalysisCrossValTest, ElisionNeverChangesStepAccounting) {
-  for (uint64_t seed = 1; seed <= 40; ++seed) {
+// The VM is always metered: at every max_steps from 0 up to the unlimited
+// run's step count, it must trip (or finish) exactly where the oracle does —
+// same Status code and message (the line of the node the budget ran out
+// on), steps_used == max_steps + 1 on a trip, and the same host calls made
+// before it. steps_used sets the simulated CPU charge, so an over-count
+// here would move simulated timing.
+TEST(AnalysisCrossValTest, VmMatchesOracleAtEveryStepBudget) {
+  int64_t budgets = 0;
+  for (uint64_t seed = 1; seed <= kNumSeeds; ++seed) {
     ProgramGen gen(seed);
-    auto program = ParseProgram(gen.Generate());
-    ASSERT_TRUE(program.ok());
-
-    CrossValHost host_a(1000, 1);
-    ExecBudget metered;
-    Interpreter a(program->get(), &host_a, metered);
-    auto ra = a.Invoke("read", {Value("/x")});
-
-    CrossValHost host_b(1000, 1);
-    ExecBudget elided;
-    elided.metered = false;
-    Interpreter b(program->get(), &host_b, elided);
-    auto rb = b.Invoke("read", {Value("/x")});
-
-    ASSERT_EQ(ra.ok(), rb.ok());
-    EXPECT_EQ(a.stats().steps_used, b.stats().steps_used) << "seed " << seed;
-    EXPECT_EQ(host_a.mutations(), host_b.mutations()) << "seed " << seed;
+    std::string src = gen.Generate();
+    auto program = ParseProgram(src);
+    ASSERT_TRUE(program.ok()) << "seed " << seed;
+    CompiledModule module = CompileCrossVal(**program);
+    int64_t full = Execute(**program, 1000, 1).steps;
+    ExtensionLimits limits;
+    for (limits.max_steps = 0; limits.max_steps <= full; ++limits.max_steps) {
+      ExecOutcome a = Execute(**program, 1000, 1, limits);
+      ExecOutcome b = ExecuteVm(module, 1000, 1, limits);
+      ExpectSameOutcome(a, b, "seed " + std::to_string(seed) + " max_steps " +
+                                  std::to_string(limits.max_steps) + "\n" + src);
+      if (limits.max_steps < full) {
+        ASSERT_EQ(b.steps, limits.max_steps + 1) << "seed " << seed << "\n" << src;
+      }
+      ++budgets;
+    }
   }
+  EXPECT_GE(budgets, kNumSeeds * 10) << "corpus stopped exercising step budgets";
 }
 
 // ---- split()-heavy arm ----
@@ -401,8 +408,8 @@ VerifierConfig SplitArmConfig() {
   cfg.allowed_functions = CoreAllowedFunctions();
   cfg.allowed_functions["fetch"] = true;
   cfg.allowed_functions["update"] = true;
-  cfg.max_collection_items = kSplitCap;
-  cfg.max_input_bytes = kSplitInputCap;
+  cfg.limits.max_collection_items = kSplitCap;
+  cfg.limits.max_input_bytes = kSplitInputCap;
   return cfg;
 }
 
@@ -541,13 +548,6 @@ class SplitGen {
   int var_counter_ = 0;
 };
 
-ExecBudget SplitArmBudget() {
-  ExecBudget budget;
-  budget.max_collection_items = kSplitCap;
-  budget.max_input_bytes = kSplitInputCap;
-  return budget;
-}
-
 TEST(AnalysisCrossValTest, SplitHeavyBoundsAreSoundAndVmMatches) {
   int certified = 0;
   int completed = 0;
@@ -570,7 +570,7 @@ TEST(AnalysisCrossValTest, SplitHeavyBoundsAreSoundAndVmMatches) {
     }
 
     SplitHost host(seed * 7919);
-    Interpreter interp(program->get(), &host, SplitArmBudget());
+    Interpreter interp(program->get(), &host, SplitArmConfig().limits);
     auto out = interp.Invoke("read", {Value("/req/part.a;part.b:tail")});
     int64_t steps = interp.stats().steps_used;
     if (out.ok()) {
@@ -586,15 +586,11 @@ TEST(AnalysisCrossValTest, SplitHeavyBoundsAreSoundAndVmMatches) {
     // VM twin under the identical budget and an identically-seeded host: the
     // corpus is all builtins + host calls, so everything must compile, and
     // outcome/result/mutations/steps must match byte for byte.
-    CompileOptions opts;
-    opts.max_collection_items = static_cast<int64_t>(kSplitCap);
-    CompiledModule module;
-    CompiledHandler compiled;
-    ASSERT_TRUE(CompileHandler((*program)->handlers.at("read"), opts, 0, &compiled))
-        << "seed " << seed << ": compiler refused a split-arm program\n" << src;
-    module.handlers.emplace("read", std::move(compiled));
+    auto module = CompileProgram(**program);
+    ASSERT_TRUE(module.ok()) << "seed " << seed << ": compiler refused a split-arm program\n"
+                             << src;
     SplitHost vm_host(seed * 7919);
-    Vm vm(&module, &vm_host, SplitArmBudget());
+    Vm vm(&*module, &vm_host, SplitArmConfig().limits);
     auto vm_out = vm.Invoke("read", {Value("/req/part.a;part.b:tail")});
     EXPECT_EQ(out.ok(), vm_out.ok()) << "seed " << seed << "\n" << src;
     EXPECT_EQ(out.ok() ? out->ToString() : out.status().ToString(),

@@ -5,9 +5,10 @@
 #include <algorithm>
 
 #include "edc/script/analysis/lint.h"
-#include "edc/script/interpreter.h"
 #include "edc/script/parser.h"
 #include "edc/script/verifier.h"
+#include "edc/script/vm/compiler.h"
+#include "edc/script/vm/vm.h"
 
 namespace edc {
 namespace {
@@ -23,8 +24,27 @@ VerifierConfig TestConfig() {
   cfg.allowed_functions["now"] = false;
   cfg.allowed_functions["random"] = false;
   cfg.collection_functions = {"children", "sub_objects"};
-  cfg.max_collection_items = 16;
+  cfg.limits.max_collection_items = 16;
   return cfg;
+}
+
+// Runs `handler` on the production engine (compiled as ExtensionRegistry::Load
+// compiles it) with no host; reports the result and steps_used.
+struct VmRun {
+  Result<Value> result = Value();
+  int64_t steps = 0;
+};
+
+VmRun RunOnVm(const Program& program, const std::string& handler, std::vector<Value> args,
+              const ExtensionLimits& limits = ExtensionLimits{}) {
+  auto module = CompileProgram(program);
+  EXPECT_TRUE(module.ok()) << module.status().ToString();
+  if (!module.ok()) {
+    return VmRun{module.status(), 0};
+  }
+  Vm vm(&*module, nullptr, limits);
+  Result<Value> out = vm.Invoke(handler, std::move(args));
+  return VmRun{std::move(out), vm.stats().steps_used};
 }
 
 AnalysisReport Analyze(const char* src, const VerifierConfig& cfg) {
@@ -190,10 +210,9 @@ TEST(AnalysisTest, CostBoundCoversListLiteralLoop) {
       }
     })");
   ASSERT_TRUE(prog.ok());
-  Interpreter interp(prog->get(), nullptr, ExecBudget{});
-  auto out = interp.Invoke("read", {Value("/x")});
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_LE(interp.stats().steps_used, hr.step_bound);
+  VmRun run = RunOnVm(**prog, "read", {Value("/x")});
+  ASSERT_TRUE(run.result.ok()) << run.result.status().ToString();
+  EXPECT_LE(run.steps, hr.step_bound);
 }
 
 TEST(AnalysisTest, CollectionLoopBoundedByCap) {
@@ -238,7 +257,7 @@ TEST(AnalysisTest, UnboundedLoopIsNotCertified) {
 
 TEST(AnalysisTest, OverBudgetBoundIsNotCertified) {
   VerifierConfig cfg = TestConfig();
-  cfg.certify_max_steps = 10;  // tiny budget: nested loop bound exceeds it
+  cfg.limits.max_steps = 10;  // tiny budget: nested loop bound exceeds it
   auto report = Analyze(R"(
     extension e {
       on op read "/x";
@@ -378,38 +397,10 @@ TEST(AnalysisTest, VerifierStatusKeepsLegacyFormat) {
   EXPECT_NE(s.message().find("[EDC-E012]"), std::string::npos);
 }
 
-TEST(AnalysisTest, MeteringElisionCountsStepsIdentically) {
-  auto prog = ParseProgram(R"(
-    extension e {
-      on op read "/x";
-      fn read(o) {
-        let total = 0;
-        foreach (v in [1, 2, 3, 4, 5]) {
-          total = total + v;
-        }
-        return total;
-      }
-    })");
-  ASSERT_TRUE(prog.ok());
-
-  ExecBudget metered;
-  Interpreter a(prog->get(), nullptr, metered);
-  auto ra = a.Invoke("read", {Value("/x")});
-  ASSERT_TRUE(ra.ok());
-
-  ExecBudget elided;
-  elided.metered = false;
-  Interpreter b(prog->get(), nullptr, elided);
-  auto rb = b.Invoke("read", {Value("/x")});
-  ASSERT_TRUE(rb.ok());
-
-  // Identical results AND identical step counts: the timing model (and thus
-  // replica digests) cannot tell the two paths apart.
-  EXPECT_TRUE(ra->Equals(*rb));
-  EXPECT_EQ(a.stats().steps_used, b.stats().steps_used);
-}
-
-TEST(AnalysisTest, UnmeteredBudgetIgnoresStepLimit) {
+TEST(AnalysisTest, VmAlwaysEnforcesStepLimit) {
+  // Certification is a verdict, not a dispatch switch: a handler with a
+  // finite bound (16 iterations) still trips the VM's step limit when the
+  // configured budget is below its cost, and runs to completion above it.
   auto prog = ParseProgram(R"(
     extension e {
       on op read "/x";
@@ -425,17 +416,15 @@ TEST(AnalysisTest, UnmeteredBudgetIgnoresStepLimit) {
     })");
   ASSERT_TRUE(prog.ok());
 
-  ExecBudget tiny;
+  ExtensionLimits tiny;
   tiny.max_steps = 10;
-  Interpreter a(prog->get(), nullptr, tiny);
-  auto ra = a.Invoke("read", {Value("/x")});
-  EXPECT_EQ(ra.status().code(), ErrorCode::kExtensionLimit);
+  VmRun tripped = RunOnVm(**prog, "read", {Value("/x")}, tiny);
+  EXPECT_EQ(tripped.result.status().code(), ErrorCode::kExtensionLimit);
+  EXPECT_EQ(tripped.steps, 11);
 
-  tiny.metered = false;  // as if certified: the limit check is gone
-  Interpreter b(prog->get(), nullptr, tiny);
-  auto rb = b.Invoke("read", {Value("/x")});
-  ASSERT_TRUE(rb.ok());
-  EXPECT_EQ(rb->AsInt(), 16);
+  VmRun full = RunOnVm(**prog, "read", {Value("/x")});
+  ASSERT_TRUE(full.result.ok());
+  EXPECT_EQ(full.result->AsInt(), 16);
 }
 
 // ---- Interval-domain precision diagnostics (EDC-W007..W009) ----
@@ -621,7 +610,7 @@ TEST(AnalysisTest, TinyStepBudgetRejectsDefaultCertifiableHandler) {
   // is configured with max_steps=10 — the analyzer has to compare its bound
   // against the configured limit, not a baked-in default.
   VerifierConfig cfg = TestConfig();
-  cfg.certify_max_steps = 10;
+  cfg.limits.max_steps = 10;
   auto report = Analyze(kSplitLoopExt, cfg);
   EXPECT_TRUE(report.ok());
   const HandlerReport& hr = report.handlers.at("read");
@@ -629,15 +618,13 @@ TEST(AnalysisTest, TinyStepBudgetRejectsDefaultCertifiableHandler) {
   EXPECT_FALSE(hr.certified);
   EXPECT_TRUE(HasCode(report, kDiagCostOverBudget));
 
-  // And the runtime agrees: a metered run under the same 10-step limit trips
+  // And the runtime agrees: a run under the same 10-step limit trips
   // kExtensionLimit instead of completing.
   auto prog = ParseProgram(kSplitLoopExt);
   ASSERT_TRUE(prog.ok());
-  ExecBudget tiny;
-  tiny.max_steps = 10;
-  Interpreter interp(prog->get(), nullptr, tiny);
-  auto run = interp.Invoke("read", {Value("/a/b.c/d")});
-  EXPECT_EQ(run.status().code(), ErrorCode::kExtensionLimit);
+  VmRun run = RunOnVm(**prog, "read", {Value("/a/b.c/d")}, cfg.limits);
+  EXPECT_EQ(run.result.status().code(), ErrorCode::kExtensionLimit);
+  EXPECT_EQ(run.steps, 11);
 }
 
 TEST(AnalysisTest, LintFormatsDiagnosticsAndSummary) {

@@ -1,4 +1,7 @@
-#include "edc/script/interpreter.h"
+// Unit tests for the tree-walking reference interpreter (the VM's test
+// oracle, tests/script/oracle/).
+
+#include "script/oracle/interpreter.h"
 
 #include <gtest/gtest.h>
 
@@ -45,12 +48,12 @@ class FakeHost : public ScriptHost {
 };
 
 Result<Value> RunScript(const char* src, const char* handler, std::vector<Value> args,
-                  FakeHost* host, ExecBudget budget = ExecBudget{}) {
+                  FakeHost* host, const ExtensionLimits& limits = ExtensionLimits{}) {
   auto prog = ParseProgram(src);
   if (!prog.ok()) {
     return prog.status();
   }
-  Interpreter interp(prog->get(), host, budget);
+  Interpreter interp(prog->get(), host, limits);
   auto out = interp.Invoke(handler, std::move(args));
   return out;
 }
@@ -185,7 +188,7 @@ TEST(InterpreterTest, IndexOutOfRangeIsError) {
 
 TEST(InterpreterTest, StepBudgetEnforced) {
   FakeHost host;
-  ExecBudget tight;
+  ExtensionLimits tight;
   tight.max_steps = 20;
   auto out = RunScript(R"(
     extension m { on op any "/x";
@@ -199,7 +202,7 @@ TEST(InterpreterTest, StepBudgetEnforced) {
 
 TEST(InterpreterTest, ValueSizeBudgetEnforced) {
   FakeHost host;
-  ExecBudget tiny;
+  ExtensionLimits tiny;
   tiny.max_value_bytes = 64;
   auto out = RunScript(R"(
     extension m { on op any "/x";
@@ -239,7 +242,7 @@ TEST(InterpreterTest, StepsUsedReported) {
     extension m { on op any "/x"; fn handle_op(r) { return 1 + 1; } })");
   ASSERT_TRUE(prog.ok());
   FakeHost host;
-  Interpreter interp(prog->get(), &host, ExecBudget{});
+  Interpreter interp(prog->get(), &host, ExtensionLimits{});
   ASSERT_TRUE(interp.Invoke("handle_op", {}).ok());
   EXPECT_GT(interp.stats().steps_used, 0);
   EXPECT_LT(interp.stats().steps_used, 20);

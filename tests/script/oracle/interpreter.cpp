@@ -1,4 +1,4 @@
-#include "edc/script/interpreter.h"
+#include "script/oracle/interpreter.h"
 
 #include <utility>
 
@@ -21,7 +21,7 @@ Status Interpreter::StepLimitError(int line) const {
 }
 
 Status Interpreter::CheckSize(const Value& v, int line) {
-  if (v.ApproxSize() > budget_.max_value_bytes) {
+  if (v.ApproxSize() > limits_.max_value_bytes) {
     return Status(ErrorCode::kExtensionLimit,
                   "value size limit exceeded at line " + std::to_string(line));
   }
@@ -40,14 +40,14 @@ Status Interpreter::CheckHostResult(const Value& v, int line) {
   // have a finite certified bound.
   if (v.is_list()) {
     for (const Value& item : v.AsList()) {
-      if (item.ApproxSize() > budget_.max_input_bytes) {
+      if (item.ApproxSize() > limits_.max_input_bytes) {
         return Status(ErrorCode::kExtensionLimit,
                       "value size limit exceeded at line " + std::to_string(line));
       }
     }
     return Status::Ok();
   }
-  if (v.ApproxSize() > budget_.max_input_bytes) {
+  if (v.ApproxSize() > limits_.max_input_bytes) {
     return Status(ErrorCode::kExtensionLimit,
                   "value size limit exceeded at line " + std::to_string(line));
   }
@@ -61,7 +61,7 @@ Status Interpreter::CheckBuiltinResult(const Value& v, int line) {
   // Builtins that return lists (split, append, keys, sort_by) obey the
   // collection cap; the cardinality transfer functions in
   // analysis/domains.cpp assume this check exists.
-  if (v.is_list() && v.AsList().size() > budget_.max_collection_items) {
+  if (v.is_list() && v.AsList().size() > limits_.max_collection_items) {
     return Status(ErrorCode::kExtensionLimit,
                   "collection size limit exceeded at line " + std::to_string(line));
   }

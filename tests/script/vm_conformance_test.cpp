@@ -1,12 +1,14 @@
-// Differential conformance: interpreter vs bytecode VM (ctest -L vm).
+// Differential conformance: bytecode VM vs the reference interpreter
+// (tests/script/oracle/; ctest -L vm).
 //
-// Every handler of every example script (examples/scripts/*.edc) and every
-// built-in recipe extension (recipes/scripts.h) runs through both engines
-// against the same deterministic object-store host, across success paths,
-// script-level error paths and empty-state edge cases. The engines must
-// agree on: return value, Status code AND message, steps_used, the host-call
-// trace, and the final store contents. Any divergence means the compiler or
-// VM forked semantics — exactly what the certification contract forbids.
+// Every handler of every loadable example script (examples/scripts/*.edc)
+// and every built-in recipe extension (recipes/scripts.h) runs on the VM and
+// on the oracle against the same deterministic object-store host, across
+// success paths, script-level error paths and empty-state edge cases — with
+// the default budget and again at every max_steps from 0 up to the run's
+// step count. The two must agree on: return value, Status code AND message,
+// steps_used, the host-call trace, and the final store contents. Any
+// divergence means the compiler or VM forked the language's semantics.
 
 #include <gtest/gtest.h>
 
@@ -14,17 +16,17 @@
 #include <map>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "edc/ext/registry.h"
 #include "edc/recipes/scripts.h"
 #include "edc/script/analysis/analyzer.h"
 #include "edc/script/analysis/lint.h"
-#include "edc/script/interpreter.h"
 #include "edc/script/parser.h"
 #include "edc/script/vm/compiler.h"
 #include "edc/script/vm/vm.h"
+#include "script/oracle/interpreter.h"
 
 namespace edc {
 namespace {
@@ -139,14 +141,6 @@ struct EngineRun {
   StoreHost::Store store;
 };
 
-CompileOptions ConformanceCompileOptions() {
-  VerifierConfig cfg = LintVerifierConfig();
-  CompileOptions opts;
-  opts.collection_functions = cfg.collection_functions;
-  opts.max_collection_items = static_cast<int64_t>(cfg.max_collection_items);
-  return opts;
-}
-
 EngineRun Finish(Result<Value> out, int64_t steps, const StoreHost& host) {
   EngineRun r;
   r.ok = out.ok();
@@ -158,23 +152,36 @@ EngineRun Finish(Result<Value> out, int64_t steps, const StoreHost& host) {
   return r;
 }
 
-EngineRun RunInterp(const Program& program, const Scenario& sc) {
+EngineRun RunInterp(const Program& program, const Scenario& sc,
+                    const ExtensionLimits& limits) {
   StoreHost host(sc.store);
-  Interpreter interp(&program, &host, ExecBudget{});
+  Interpreter interp(&program, &host, limits);
   auto out = interp.Invoke(sc.handler, sc.args);
   return Finish(std::move(out), interp.stats().steps_used, host);
 }
 
-EngineRun RunVm(const CompiledModule& module, const Scenario& sc) {
+EngineRun RunVm(const CompiledModule& module, const Scenario& sc,
+                const ExtensionLimits& limits) {
   StoreHost host(sc.store);
-  Vm vm(&module, &host, ExecBudget{});
+  Vm vm(&module, &host, limits);
   auto out = vm.Invoke(sc.handler, sc.args);
   return Finish(std::move(out), vm.stats().steps_used, host);
 }
 
-// Parses `source`, compiles every handler (certified or not — conformance
-// wants maximum coverage), and checks each scenario on both engines.
-// Returns the number of handlers that compiled.
+void ExpectSameRun(const EngineRun& a, const EngineRun& b) {
+  EXPECT_EQ(a.ok, b.ok);
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(a.result, b.result);
+  EXPECT_EQ(a.steps, b.steps) << "step accounting diverged";
+  EXPECT_EQ(a.trace, b.trace);
+  EXPECT_EQ(a.store, b.store);
+}
+
+// Parses and compiles `source` the way ExtensionRegistry::Load does, then
+// checks each scenario on both engines: once with the default limits, then
+// at every max_steps from 0 up to the default run's step count (every
+// step-limit trip point the handler has on that path). Returns the number of
+// handlers compiled.
 size_t CheckConformance(const std::string& unit, const std::string& source,
                         const std::vector<Scenario>& scenarios) {
   auto program = ParseProgram(source);
@@ -182,28 +189,22 @@ size_t CheckConformance(const std::string& unit, const std::string& source,
   if (!program.ok()) {
     return 0;
   }
-  CompiledModule module;
-  for (const auto& [name, handler] : (*program)->handlers) {
-    CompiledHandler compiled;
-    if (CompileHandler(handler, ConformanceCompileOptions(), 0, &compiled)) {
-      module.handlers.emplace(name, std::move(compiled));
-    }
+  auto module = CompileProgram(**program);
+  EXPECT_TRUE(module.ok()) << unit << ": " << module.status().ToString();
+  if (!module.ok()) {
+    return 0;
   }
   for (const Scenario& sc : scenarios) {
     SCOPED_TRACE(unit + " / " + sc.label);
-    if (module.Find(sc.handler) == nullptr) {
-      continue;  // uncompilable handler: interpreter-only, nothing to diff
+    ExtensionLimits limits;
+    EngineRun a = RunInterp(**program, sc, limits);
+    ExpectSameRun(a, RunVm(*module, sc, limits));
+    for (limits.max_steps = 0; limits.max_steps <= a.steps; ++limits.max_steps) {
+      SCOPED_TRACE("max_steps=" + std::to_string(limits.max_steps));
+      ExpectSameRun(RunInterp(**program, sc, limits), RunVm(*module, sc, limits));
     }
-    EngineRun a = RunInterp(**program, sc);
-    EngineRun b = RunVm(module, sc);
-    EXPECT_EQ(a.ok, b.ok);
-    EXPECT_EQ(a.status, b.status);
-    EXPECT_EQ(a.result, b.result);
-    EXPECT_EQ(a.steps, b.steps) << "step accounting diverged";
-    EXPECT_EQ(a.trace, b.trace);
-    EXPECT_EQ(a.store, b.store);
   }
-  return module.handlers.size();
+  return module->handlers.size();
 }
 
 StoreHost::Store QueueStore() {
@@ -330,57 +331,49 @@ TEST(VmConformanceTest, ExampleQueueRemove) {
             1u);
 }
 
-TEST(VmConformanceTest, ExampleBrokenSweeperFallsBackToInterpreter) {
-  // `return total;` references an unresolvable variable: the compiler must
-  // refuse (fallback contract) rather than guess — and the interpreter's
-  // behavior (unknown function 'shell' at runtime) is untouched.
+TEST(VmConformanceTest, ExampleBrokenSweeperRejectedAtLoad) {
+  // `shell` is off the white list and `return total;` reads an undeclared
+  // variable: the analyzer rejects the extension at registration, so there
+  // is nothing to run and no engine to fall back to. The compiler refuses
+  // the unresolvable variable too, which is what would turn a compile
+  // failure into the same kExtensionRejected if the analyzer ever let one
+  // through.
   std::string source = ReadFile(ExamplePath("broken_sweeper.edc"));
-  EXPECT_EQ(CheckConformance("broken_sweeper.edc", source,
-                             {{"interpreter-only", "read", {Value("/sweep")}, {}}}),
-            0u);
+  ExtensionRegistry registry;
+  Status s = registry.Load("broken_sweeper", 1, source, LintVerifierConfig());
+  EXPECT_EQ(s.code(), ErrorCode::kExtensionRejected);
+  EXPECT_FALSE(registry.Contains("broken_sweeper"));
   auto program = ParseProgram(source);
   ASSERT_TRUE(program.ok());
-  StoreHost host({});
-  Interpreter interp(program->get(), &host, ExecBudget{});
-  auto out = interp.Invoke("read", {Value("/sweep")});
-  ASSERT_FALSE(out.ok());
-  EXPECT_NE(out.status().message().find("unknown function 'shell'"), std::string::npos);
+  auto module = CompileProgram(**program);
+  ASSERT_FALSE(module.ok());
+  EXPECT_EQ(module.status().code(), ErrorCode::kExtensionRejected);
 }
 
-// Every recipe handler the analyzer certifies must actually reach bytecode:
-// otherwise the hot path silently degrades to the interpreter and the
-// "verification pays once" benefit evaporates without any test noticing.
-// two_phase/update — long the known exception — now certifies too: the
-// interval/length abstract domain bounds its nested foreach-over-split()
-// loops via the amortized total-length accounting (docs/static_analysis.md),
-// so every recipe handler runs on the VM.
-TEST(VmConformanceTest, AllCertifiedRecipeHandlersCompile) {
-  const std::tuple<const char*, const char*, bool> recipes[] = {
-      {"counter", kCounterExtension, true},
-      {"queue", kQueueExtension, true},
-      {"barrier", kBarrierExtension, true},
-      {"election", kElectionExtension, true},
-      {"rename", kRenameExtension, true},
-      {"two_phase", kTwoPhaseExtension, true},
+// Every handler of every extension that loads must reach bytecode;
+// certification stays a lint verdict (all shipped recipe and example
+// handlers certify) but does not decide dispatch.
+TEST(VmConformanceTest, AllLoadableHandlersCompile) {
+  const std::pair<std::string, std::string> units[] = {
+      {"counter", kCounterExtension},
+      {"queue", kQueueExtension},
+      {"barrier", kBarrierExtension},
+      {"election", kElectionExtension},
+      {"rename", kRenameExtension},
+      {"two_phase", kTwoPhaseExtension},
+      {"audit_count", ReadFile(ExamplePath("audit_count.edc"))},
+      {"queue_remove", ReadFile(ExamplePath("queue_remove.edc"))},
   };
-  for (const auto& [name, source, want_certified] : recipes) {
-    auto program = ParseProgram(source);
-    ASSERT_TRUE(program.ok()) << name;
-    AnalysisReport report = AnalyzeProgram(**program, LintVerifierConfig());
-    CompiledModule module =
-        CompileProgram(**program, report.handlers, ConformanceCompileOptions());
-    for (const auto& [hname, hr] : report.handlers) {
-      EXPECT_EQ(hr.certified, want_certified)
-          << name << "/" << hname << " certification changed";
-      const CompiledHandler* compiled = module.Find(hname);
-      if (hr.certified) {
-        ASSERT_NE(compiled, nullptr)
-            << name << "/" << hname << " certified but did not compile";
-        EXPECT_EQ(compiled->step_bound, hr.step_bound);
-      } else {
-        EXPECT_EQ(compiled, nullptr)
-            << name << "/" << hname << " uncertified yet in the module";
-      }
+  for (const auto& [name, source] : units) {
+    ExtensionRegistry registry;
+    ASSERT_TRUE(registry.Load(name, 1, source, LintVerifierConfig()).ok()) << name;
+    const LoadedExtension* ext = registry.Find(name);
+    ASSERT_NE(ext, nullptr) << name;
+    EXPECT_EQ(ext->compiled.handlers.size(), ext->program->handlers.size()) << name;
+    for (const auto& [hname, hr] : ext->reports) {
+      EXPECT_TRUE(hr.certified) << name << "/" << hname << " certification changed";
+      EXPECT_NE(ext->compiled.Find(hname), nullptr)
+          << name << "/" << hname << " did not compile";
     }
   }
 }

@@ -4,7 +4,9 @@
 // file pins the individual contracts: builtin index resolution, compile
 // refusal on unlowerable constructs, step-accounting parity on success and on
 // every abort path, the INT64_MIN wrap-around fixes, and the host-result
-// size-limit enforcement — each checked on both engines.
+// size-limit enforcement — each checked on the VM against the reference
+// interpreter (tests/script/oracle/), at the default budget and at every
+// step budget below the run's step count.
 
 #include "edc/script/vm/vm.h"
 
@@ -16,9 +18,9 @@
 #include <vector>
 
 #include "edc/script/builtins.h"
-#include "edc/script/interpreter.h"
 #include "edc/script/parser.h"
 #include "edc/script/vm/compiler.h"
+#include "script/oracle/interpreter.h"
 
 namespace edc {
 namespace {
@@ -64,17 +66,10 @@ struct EngineRun {
   std::map<std::string, std::string> store;
 };
 
-CompileOptions TestCompileOptions() {
-  CompileOptions opts;
-  opts.collection_functions = {"children", "sub_objects"};
-  opts.max_collection_items = 256;
-  return opts;
-}
-
 EngineRun RunInterp(const Program& program, const std::string& handler,
-                    std::vector<Value> args, ExecBudget budget) {
+                    std::vector<Value> args, const ExtensionLimits& limits) {
   VmFakeHost host;
-  Interpreter interp(&program, &host, budget);
+  Interpreter interp(&program, &host, limits);
   auto out = interp.Invoke(handler, std::move(args));
   EngineRun r;
   r.ok = out.ok();
@@ -88,15 +83,15 @@ EngineRun RunInterp(const Program& program, const std::string& handler,
 }
 
 EngineRun RunVm(const Program& program, const std::string& handler,
-                std::vector<Value> args, ExecBudget budget) {
+                std::vector<Value> args, const ExtensionLimits& limits) {
   const Handler& h = program.handlers.at(handler);
   CompiledHandler compiled;
-  EXPECT_TRUE(CompileHandler(h, TestCompileOptions(), 0, &compiled))
+  EXPECT_TRUE(CompileHandler(h, &compiled))
       << "handler '" << handler << "' failed to compile";
   VmFakeHost host;
   CompiledModule module;
   module.handlers.emplace(handler, std::move(compiled));
-  Vm vm(&module, &host, budget);
+  Vm vm(&module, &host, limits);
   auto out = vm.Invoke(handler, std::move(args));
   EngineRun r;
   r.ok = out.ok();
@@ -109,21 +104,33 @@ EngineRun RunVm(const Program& program, const std::string& handler,
   return r;
 }
 
-// Runs `handler` through both engines and requires bit-identical outcomes:
-// result, Status code + message, steps_used, host-call trace, final state.
+void ExpectSameRun(const EngineRun& a, const EngineRun& b, const std::string& what) {
+  EXPECT_EQ(a.ok, b.ok) << what;
+  EXPECT_EQ(a.code, b.code) << what;
+  EXPECT_EQ(a.message, b.message) << what;
+  EXPECT_EQ(a.result, b.result) << what;
+  EXPECT_EQ(a.steps, b.steps) << "step accounting diverged\n" << what;
+  EXPECT_EQ(a.calls, b.calls) << what;
+  EXPECT_EQ(a.store, b.store) << what;
+}
+
+// Runs `handler` on the oracle and the VM and requires bit-identical
+// outcomes: result, Status code + message, steps_used, host-call trace,
+// final state — under `limits`, and again at every max_steps from 0 up to
+// the step count of that run, so every step-limit trip point is covered.
 EngineRun ExpectBothEngines(const char* src, const std::string& handler,
-                            std::vector<Value> args, ExecBudget budget = ExecBudget{}) {
+                            std::vector<Value> args,
+                            const ExtensionLimits& limits = ExtensionLimits{}) {
   auto program = ParseProgram(src);
   EXPECT_TRUE(program.ok()) << program.status().ToString();
-  EngineRun a = RunInterp(**program, handler, args, budget);
-  EngineRun b = RunVm(**program, handler, std::move(args), budget);
-  EXPECT_EQ(a.ok, b.ok) << src;
-  EXPECT_EQ(a.code, b.code) << src;
-  EXPECT_EQ(a.message, b.message) << src;
-  EXPECT_EQ(a.result, b.result) << src;
-  EXPECT_EQ(a.steps, b.steps) << "step accounting diverged\n" << src;
-  EXPECT_EQ(a.calls, b.calls) << src;
-  EXPECT_EQ(a.store, b.store) << src;
+  EngineRun a = RunInterp(**program, handler, args, limits);
+  ExpectSameRun(a, RunVm(**program, handler, args, limits), src);
+  ExtensionLimits tight = limits;
+  for (tight.max_steps = 0; tight.max_steps <= a.steps; ++tight.max_steps) {
+    ExpectSameRun(RunInterp(**program, handler, args, tight),
+                  RunVm(**program, handler, args, tight),
+                  std::string(src) + "\nmax_steps=" + std::to_string(tight.max_steps));
+  }
   return a;
 }
 
@@ -148,8 +155,7 @@ TEST(VmCompilerTest, RefusesUnresolvableVariable) {
       fn handle_op(r) { return missing_var; } })");
   ASSERT_TRUE(program.ok());
   CompiledHandler out;
-  EXPECT_FALSE(CompileHandler((*program)->handlers.at("handle_op"),
-                              TestCompileOptions(), 0, &out));
+  EXPECT_FALSE(CompileHandler((*program)->handlers.at("handle_op"), &out));
 }
 
 TEST(VmCompilerTest, RefusesAssignToUndeclared) {
@@ -158,8 +164,7 @@ TEST(VmCompilerTest, RefusesAssignToUndeclared) {
       fn handle_op(r) { ghost = 1; return 0; } })");
   ASSERT_TRUE(program.ok());
   CompiledHandler out;
-  EXPECT_FALSE(CompileHandler((*program)->handlers.at("handle_op"),
-                              TestCompileOptions(), 0, &out));
+  EXPECT_FALSE(CompileHandler((*program)->handlers.at("handle_op"), &out));
 }
 
 TEST(VmCompilerTest, CompilesEveryRecipeShape) {
@@ -178,8 +183,7 @@ TEST(VmCompilerTest, CompilesEveryRecipeShape) {
       } })");
   ASSERT_TRUE(program.ok());
   CompiledHandler out;
-  EXPECT_TRUE(CompileHandler((*program)->handlers.at("handle_op"),
-                             TestCompileOptions(), 0, &out));
+  EXPECT_TRUE(CompileHandler((*program)->handlers.at("handle_op"), &out));
   EXPECT_GT(out.code.size(), 0u);
 }
 
@@ -327,7 +331,7 @@ TEST(VmParityTest, OversizedHostResultHitsValueSizeLimit) {
 }
 
 TEST(VmParityTest, OversizedConcatHitsValueSizeLimit) {
-  ExecBudget tiny;
+  ExtensionLimits tiny;
   tiny.max_value_bytes = 32;
   EngineRun r = ExpectBothEngines(R"(
     extension m { on op any "/x";
@@ -343,7 +347,7 @@ TEST(VmParityTest, FoldedConcatStillChecksSizeAtRuntime) {
   // "aa...a" folds to a constant at compile time, but the interpreter checks
   // the concat's size against the *runtime* budget — the fold must not skip
   // that abort (kLoadConstChecked).
-  ExecBudget tiny;
+  ExtensionLimits tiny;
   tiny.max_value_bytes = 24;
   EngineRun r = ExpectBothEngines(R"(
     extension m { on op any "/x";
@@ -368,20 +372,97 @@ TEST(VmParityTest, StepsMatchAcrossEnginesOnAbortPaths) {
   EXPECT_FALSE(r.ok);  // division by zero; ExpectBothEngines checked steps
 }
 
-TEST(VmParityTest, CompiledModuleOnlyContainsCertifiedHandlers) {
+TEST(VmParityTest, CompiledModuleContainsEveryHandler) {
+  // Certification does not decide dispatch: every handler compiles.
   auto program = ParseProgram(R"(
     extension m { on op any "/x";
       fn handle_op(r) { return 1; }
       fn read(oid) { return 2; } })");
   ASSERT_TRUE(program.ok());
-  std::map<std::string, HandlerReport> reports;
-  reports["handle_op"].certified = true;
-  reports["handle_op"].step_bound = 10;
-  reports["read"].certified = false;
-  CompiledModule module = CompileProgram(**program, reports, TestCompileOptions());
-  EXPECT_NE(module.Find("handle_op"), nullptr);
-  EXPECT_EQ(module.Find("read"), nullptr);
-  EXPECT_EQ(module.Find("handle_op")->step_bound, 10);
+  auto module = CompileProgram(**program);
+  ASSERT_TRUE(module.ok()) << module.status().ToString();
+  EXPECT_NE(module->Find("handle_op"), nullptr);
+  EXPECT_NE(module->Find("read"), nullptr);
+}
+
+TEST(VmCompilerTest, CompileProgramRejectsUnresolvableVariable) {
+  auto program = ParseProgram(R"(
+    extension m { on op any "/x";
+      fn read(oid) { return 1; }
+      fn handle_op(r) { return missing_var; } })");
+  ASSERT_TRUE(program.ok());
+  auto module = CompileProgram(**program);
+  ASSERT_FALSE(module.ok());
+  EXPECT_EQ(module.status().code(), ErrorCode::kExtensionRejected);
+  EXPECT_NE(module.status().message().find("'handle_op'"), std::string::npos);
+}
+
+// ---- Step-limit trips ----
+
+TEST(VmParityTest, StepLimitTripReportsBudgetPlusOne) {
+  // The VM always meters. A trip leaves steps_used == max_steps + 1 — the
+  // simulated CPU charge is computed from it — and names the line of the
+  // node that ran out, exactly like the reference.
+  ExtensionLimits tight;
+  tight.max_steps = 20;
+  EngineRun r = ExpectBothEngines(R"(
+    extension m { on op any "/x";
+      fn handle_op(r) {
+        let sum = 0;
+        foreach (x in [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]) { sum = sum + x; }
+        return sum;
+      } })", "handle_op", {}, tight);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.code, ErrorCode::kExtensionLimit);
+  EXPECT_EQ(r.steps, 21);
+  EXPECT_EQ(r.message, "step budget exceeded at line 5");
+}
+
+TEST(VmParityTest, StepLimitInsideFoldedMultiLineExpression) {
+  // `1 + 2 * 3` spans three source lines and folds into one kLoadConst
+  // carrying six charges: the let statement and the five expression nodes.
+  // A budget that runs out inside the fold must name the line of the exact
+  // node, not the instruction's line.
+  const char* src = R"(
+    extension m { on op any "/x";
+      fn handle_op(r) {
+        let v = 1
+          + 2
+          * 3;
+        return v;
+      } })";
+  auto program = ParseProgram(src);
+  ASSERT_TRUE(program.ok());
+  CompiledHandler compiled;
+  ASSERT_TRUE(CompileHandler((*program)->handlers.at("handle_op"), &compiled));
+  ASSERT_EQ(compiled.code[0].op, OpCode::kLoadConst);
+  EXPECT_EQ(compiled.code[0].steps, 6u);
+  // Charge order: let (4), + (5), 1 (4), * (6), 2 (5), 3 (6).
+  const std::vector<int32_t> lines(compiled.step_lines.begin(),
+                                   compiled.step_lines.begin() + 6);
+  EXPECT_EQ(lines, (std::vector<int32_t>{4, 5, 4, 6, 5, 6}));
+  const char* want[] = {"line 4", "line 5", "line 4", "line 6", "line 5", "line 6"};
+  for (int64_t budget = 0; budget < 6; ++budget) {
+    ExtensionLimits tight;
+    tight.max_steps = budget;
+    EngineRun r = ExpectBothEngines(src, "handle_op", {}, tight);
+    EXPECT_EQ(r.steps, budget + 1);
+    EXPECT_EQ(r.message, std::string("step budget exceeded at ") + want[budget]);
+  }
+}
+
+TEST(VmParityTest, NegativeStepLimitBehavesLikeZero) {
+  ExtensionLimits negative;
+  negative.max_steps = -5;
+  EngineRun empty = ExpectBothEngines(R"(
+    extension m { on op any "/x"; fn handle_op(r) { } })", "handle_op", {}, negative);
+  EXPECT_TRUE(empty.ok);
+  EXPECT_EQ(empty.steps, 0);
+  EngineRun one = ExpectBothEngines(R"(
+    extension m { on op any "/x"; fn handle_op(r) { return 1; } })", "handle_op", {},
+                                    negative);
+  EXPECT_EQ(one.code, ErrorCode::kExtensionLimit);
+  EXPECT_EQ(one.steps, 1);
 }
 
 }  // namespace

@@ -192,9 +192,9 @@ TEST(TwoPhaseTest, SingleShardTransactionWorks) {
 
 // The participant handler's certification is what the interval/length
 // analysis layer exists for: every 2PC prepare/commit on every shard must be
-// a certified invocation dispatched to the bytecode VM, not the metered tree
-// walker (docs/static_analysis.md). A precision regression that decertifies
-// the handler shows up here as vm_dispatches < invocations.
+// a certified invocation (docs/static_analysis.md), and like every
+// invocation it runs on the bytecode VM. A precision regression that
+// decertifies the handler shows up here as certified < invocations.
 TEST(TwoPhaseTest, ParticipantHandlerIsCertifiedAndRunsOnVm) {
   FixtureOptions options = ShardedEzk(4, 1);
   options.observability = true;

@@ -128,8 +128,8 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) {
         return Usage();
       }
-      config.certify_max_steps = std::atoll(argv[++i]);
-      if (config.certify_max_steps <= 0) {
+      config.limits.max_steps = std::atoll(argv[++i]);
+      if (config.limits.max_steps <= 0) {
         return Usage();
       }
     } else if (!arg.empty() && arg[0] == '-') {
